@@ -57,6 +57,11 @@ struct TransferWorkload {
   long max_amount = 10;
   /// Fraction of transfers directed at a single hot account pair — the
   /// contention knob (0 = uniform, 1 = everything hits the hot pair).
+  /// The hot pair always debits account 0 and credits account 1, so a
+  /// contention measurement needs initial_balance >= processes ×
+  /// transfers_per_process × max_amount. Otherwise account 0 drains, and the
+  /// remaining hot transfers fail for funds: they roll back to read-only
+  /// transactions that write nothing and cannot conflict.
   double hot_fraction = 0.0;
   std::uint64_t seed = 1;
   Distribution distribution = Distribution::IntraProc;  // the paper's choice

@@ -197,8 +197,19 @@ PageRankResult pagerank_distributed(const Graph& g, const Topology& topology,
     }
   });
 
+  // Synchronous: the barrier keeps every process on the same round count, so
+  // the last round's tally decides. Asynchronous: only a budget abort stops
+  // short of quiescence.
+  const int last = rounds_done[0] - 1;
+  const bool converged =
+      options.comm == CommMode::Synchronous
+          ? last >= 0 && round_converged[static_cast<std::size_t>(last)].load(
+                             std::memory_order_acquire) == p
+          : !quiescence.aborted();
+
   PageRankResult result{.ranks = std::vector<double>(static_cast<std::size_t>(n)),
                         .rounds = rounds_done,
+                        .converged = converged,
                         .run = std::move(run),
                         .placement = placement};
   for (int r = 0; r < p; ++r) {

@@ -9,7 +9,8 @@
 /// paper's Jacobi). Asynchronous variant: chaotic iteration — processes sweep
 /// at their own pace reading whatever ranks are published; the damped
 /// iteration is a contraction, so it still converges to the same fixed point
-/// (within tolerance rather than bitwise).
+/// (within tolerance rather than bitwise). Either variant can run out of its
+/// round budget first; `PageRankResult::converged` is false when it does.
 
 #include "algo/apsp.hpp"  // Graph
 #include "core/attributes.hpp"
@@ -24,6 +25,9 @@ struct PageRankOptions {
   int processes = 8;
   double damping = 0.85;
   double tolerance = 1e-10;  ///< max |r_v(t+1) - r_v(t)| termination
+  /// Synchronous: the number of barriered rounds. Asynchronous: each
+  /// process's publishing sweeps (quiet re-sweeps are not counted); a process
+  /// that runs out abandons the whole run.
   int max_rounds = 200;
   CommMode comm = CommMode::Synchronous;
   Distribution distribution = Distribution::InterProc;
@@ -32,6 +36,10 @@ struct PageRankOptions {
 struct PageRankResult {
   std::vector<double> ranks;
   std::vector<int> rounds;
+  /// Synchronous: the last round had every process under tolerance.
+  /// Asynchronous: the run reached quiescence rather than a process running
+  /// out of max_rounds.
+  bool converged = false;
   runtime::RunResult run;
   runtime::PlacementMap placement;
 };

@@ -100,12 +100,19 @@ TEST(TransferWorkload, HotSpotRaisesAborts) {
   uniform.accounts = 256;
   uniform.hot_fraction = 0.0;
   uniform.preemption_points = true;
+  // Deep accounts: even an account debited by every transfer keeps at least
+  // max_amount before each debit, so no transfer fails for funds and the hot
+  // pair is written (and can conflict) on every transfer.
+  uniform.initial_balance = static_cast<long>(uniform.processes) *
+                            uniform.transfers_per_process * uniform.max_amount;
   const TransferRunResult cold = run_transfer_workload(kTopo, uniform, "passive");
 
   TransferWorkload hot = uniform;
   hot.hot_fraction = 1.0;  // everything on one pair
   const TransferRunResult contended = run_transfer_workload(kTopo, hot, "passive");
 
+  EXPECT_EQ(cold.insufficient, 0);
+  EXPECT_EQ(contended.insufficient, 0);
   EXPECT_GT(contended.stm_aborts, cold.stm_aborts);
 }
 
@@ -138,8 +145,10 @@ TEST(TransferWorkload, ValidatesArguments) {
 }
 
 // Conservation must hold under every contention manager and distribution.
+// The manager is a std::string: inside a tuple a const char* prints with its
+// address, which would put a per-run value into the test names.
 class TransferSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, Distribution>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, Distribution>> {};
 
 TEST_P(TransferSweep, MoneyConserved) {
   const auto [manager, dist] = GetParam();

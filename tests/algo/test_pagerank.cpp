@@ -61,6 +61,25 @@ TEST(PageRank, AsynchronousConvergesToSameFixedPoint) {
     EXPECT_NEAR(r.ranks[i], expected[i], 1e-6) << "vertex " << i;
 }
 
+TEST(PageRank, ReportsWhetherItConverged) {
+  const Graph g = make_random_graph(10, 67, 0.35);
+  PageRankOptions opt;
+  opt.processes = 5;
+  opt.comm = CommMode::Synchronous;
+  opt.tolerance = 1e-12;
+  opt.max_rounds = 500;
+  EXPECT_TRUE(pagerank_distributed(g, kTopo, opt).converged);
+
+  // From the uniform start every process's first sweep is far above
+  // tolerance, so one round (synchronous) or one publishing sweep per process
+  // (asynchronous) always runs out before the ranks settle.
+  opt.max_rounds = 1;
+  for (const CommMode comm : {CommMode::Synchronous, CommMode::Asynchronous}) {
+    opt.comm = comm;
+    EXPECT_FALSE(pagerank_distributed(g, kTopo, opt).converged) << comm;
+  }
+}
+
 TEST(PageRank, MassConservedDistributed) {
   const Graph g = make_random_graph(12, 71, 0.3);
   PageRankOptions opt;
