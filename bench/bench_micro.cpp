@@ -19,14 +19,6 @@
 #include <sstream>
 #include <thread>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace {
 
 using namespace stamp;
@@ -197,8 +189,10 @@ void BM_CollectiveAllReduce(benchmark::State& state) {
   for (auto _ : state) {
     msg::Communicator<long long> comm(n, CommMode::Asynchronous);
     std::atomic<long long> sink{0};
-    const auto run = runtime::run_distributed(
-        kTopo, n, Distribution::IntraProc, [&](runtime::Context& ctx) {
+    const auto run = runtime::run_processes(
+        runtime::PlacementMap::for_distribution(kTopo, n,
+                                                Distribution::IntraProc),
+        [&](runtime::Context& ctx) {
           sink += msg::all_reduce_doubling(
               ctx, comm, static_cast<long long>(ctx.id()),
               [](long long a, long long b) { return a + b; });

@@ -156,9 +156,19 @@ ApspResult apsp_distributed(const Graph& g, const Topology& topology,
         max_rounds);
   });
 
+  // Synchronous: the barrier keeps every process on the same round count, so
+  // the last round's change flag decides. Asynchronous: only a budget abort
+  // stops short of quiescence.
+  const bool converged =
+      options.comm == CommMode::Synchronous
+          ? round_changed[static_cast<std::size_t>(rounds_done[0] - 1)].load(
+                std::memory_order_acquire) == 0
+          : !quiescence.aborted();
+
   ApspResult result{.distances = std::vector<double>(
                         static_cast<std::size_t>(n) * n),
                     .rounds = rounds_done,
+                    .converged = converged,
                     .run = std::move(run),
                     .placement = placement};
   for (int i = 0; i < n; ++i)

@@ -45,12 +45,15 @@ struct Graph {
 struct ApspOptions {
   CommMode comm = CommMode::Asynchronous;  ///< the paper uses async_comm
   Distribution distribution = Distribution::InterProc;
-  int max_rounds = 0;  ///< 0 = n rounds (min-plus converges in <= n-1)
+  int max_rounds = 0;  ///< 0 = 4n + 8 (min-plus converges in <= n-1 rounds)
 };
 
 struct ApspResult {
   std::vector<double> distances;  ///< row-major n x n
   std::vector<int> rounds;        ///< per-process rounds executed
+  /// Synchronous: no row changed in the last round. Asynchronous: the run
+  /// reached quiescence rather than a process running out of max_rounds.
+  bool converged = false;
   runtime::RunResult run;
   runtime::PlacementMap placement;
 };

@@ -180,8 +180,18 @@ BfsResult bfs_distributed(const Graph& g, const Topology& topology,
         max_rounds);
   });
 
+  // Synchronous: the barrier keeps every process on the same round count, so
+  // the last round's change flag decides. Asynchronous: only a budget abort
+  // stops short of quiescence.
+  const bool converged =
+      options.comm == CommMode::Synchronous
+          ? round_changed[static_cast<std::size_t>(rounds_done[0] - 1)].load(
+                std::memory_order_acquire) == 0
+          : !quiescence.aborted();
+
   BfsResult result{.depth = std::vector<int>(static_cast<std::size_t>(n), -1),
                    .rounds = rounds_done,
+                   .converged = converged,
                    .run = std::move(run),
                    .placement = placement};
   for (int r = 0; r < p; ++r) {

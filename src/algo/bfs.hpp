@@ -30,6 +30,9 @@ struct BfsOptions {
 struct BfsResult {
   std::vector<int> depth;  ///< hop distance from source; -1 = unreachable
   std::vector<int> rounds;
+  /// Synchronous: no depth changed in the last round. Asynchronous: the run
+  /// reached quiescence rather than a process running out of max_rounds.
+  bool converged = false;
   runtime::RunResult run;
   runtime::PlacementMap placement;
 };

@@ -5,8 +5,10 @@
 #include "runtime/instrument.hpp"
 #include "shm/swmr_matrix.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace stamp::algo {
@@ -124,6 +126,9 @@ PageRankResult pagerank_distributed(const Graph& g, const Topology& topology,
       static_cast<std::size_t>(options.max_rounds));
   for (auto& f : round_converged) f.store(0, std::memory_order_relaxed);
   runtime::QuiescenceDetector quiescence(p);
+  // See PageRankOptions::max_rounds: p publications per synchronous round.
+  const int async_budget = static_cast<int>(std::min<long long>(
+      std::numeric_limits<int>::max(), 1LL * options.max_rounds * p));
 
   std::vector<int> rounds_done(static_cast<std::size_t>(p), 0);
 
@@ -146,10 +151,13 @@ PageRankResult pagerank_distributed(const Graph& g, const Topology& topology,
     std::vector<double> prev(static_cast<std::size_t>(n), 0.0);
     std::vector<double> mine(static_cast<std::size_t>(std::max(width, 1)), 0.0);
 
-    // One damped sweep of the owned block. Under async_comm, sub-tolerance
-    // updates are not published, so the publication counter settles once
-    // every block sits within tolerance of the (contraction) fixed point.
-    auto damped_sweep = [&](bool publish_only_significant) {
+    // One damped sweep of the owned block. Synchronous: every process reads
+    // the round's iterate before any process overwrites it (a barrier between
+    // compute and publish), so each round is exactly one power-iteration
+    // step. Asynchronous: sub-tolerance updates are not published, so the
+    // publication counter settles once every block sits within tolerance of
+    // the (contraction) fixed point.
+    auto damped_sweep = [&](bool synchronous) {
       const runtime::UnitScope unit(ctx.recorder());
       ctx.int_ops(1);
       double delta = 0;
@@ -167,7 +175,8 @@ PageRankResult pagerank_distributed(const Graph& g, const Topology& topology,
         // ~2 fp ops per (u, v) pair examined plus the damped combine.
         ctx.fp_ops(2.0 * width * n + 3.0 * width);
         ctx.int_ops(static_cast<double>(width) * n);
-        if (!publish_only_significant || delta >= options.tolerance) {
+        if (synchronous) barrier.arrive_and_wait();
+        if (synchronous || delta >= options.tolerance) {
           for (int v = block.begin; v < block.end; ++v)
             ranks.write(ctx, me, v - block.begin,
                         mine[static_cast<std::size_t>(v - block.begin)]);
@@ -180,7 +189,7 @@ PageRankResult pagerank_distributed(const Graph& g, const Topology& topology,
 
     if (options.comm == CommMode::Synchronous) {
       for (int t = 0; t < options.max_rounds; ++t) {
-        const double delta = damped_sweep(false).second;
+        const double delta = damped_sweep(true).second;
         rounds_done[static_cast<std::size_t>(me)] = t + 1;
         if (delta < options.tolerance)
           round_converged[static_cast<std::size_t>(t)].fetch_add(
@@ -192,8 +201,8 @@ PageRankResult pagerank_distributed(const Graph& g, const Topology& topology,
       }
     } else {
       rounds_done[static_cast<std::size_t>(me)] = runtime::run_to_quiescence(
-          quiescence, me, [&] { return damped_sweep(true).first; },
-          options.max_rounds);
+          quiescence, me, [&] { return damped_sweep(false).first; },
+          async_budget);
     }
   });
 

@@ -25,9 +25,12 @@ struct PageRankOptions {
   int processes = 8;
   double damping = 0.85;
   double tolerance = 1e-10;  ///< max |r_v(t+1) - r_v(t)| termination
-  /// Synchronous: the number of barriered rounds. Asynchronous: each
-  /// process's publishing sweeps (quiet re-sweeps are not counted); a process
-  /// that runs out abandons the whole run.
+  /// Synchronous: the number of barriered rounds. Asynchronous: each process
+  /// may publish `processes × max_rounds` sweeps (quiet re-sweeps are not
+  /// counted); a process that runs out abandons the whole run. The budget
+  /// scales with the process count because a chaotic sweep republishes
+  /// whenever any of the p−1 peers' publications moved its block, so one
+  /// synchronous round's worth of progress can cost up to p publications.
   int max_rounds = 200;
   CommMode comm = CommMode::Synchronous;
   Distribution distribution = Distribution::InterProc;
@@ -38,7 +41,7 @@ struct PageRankResult {
   std::vector<int> rounds;
   /// Synchronous: the last round had every process under tolerance.
   /// Asynchronous: the run reached quiescence rather than a process running
-  /// out of max_rounds.
+  /// out of its publishing budget.
   bool converged = false;
   runtime::RunResult run;
   runtime::PlacementMap placement;

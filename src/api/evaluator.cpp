@@ -3,15 +3,11 @@
 #include "machine/trace.hpp"
 #include "search/search.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <ostream>
 #include <sstream>
 #include <utility>
-
-// The facade IS the replacement for the deprecated entry points it delegates
-// to; calling them here must stay quiet under -DSTAMP_WARN_DEPRECATED=ON.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
 
 namespace stamp {
 
@@ -71,7 +67,31 @@ runtime::SupervisedResult Evaluator::run_supervised(
 
 PlacementResult Evaluator::best_placement(
     std::span<const ProcessProfile> profiles) const {
-  return place_best(profiles, options_.machine, options_.objective);
+  const MachineModel& m = options_.machine;
+  const Objective objective = options_.objective;
+  std::vector<PlacementResult> candidates;
+  candidates.push_back(place_fill_first(profiles, m, objective));
+  candidates.push_back(place_round_robin(profiles, m, objective));
+  candidates.push_back(place_greedy(profiles, m, objective));
+  const bool uniform =
+      std::adjacent_find(profiles.begin(), profiles.end(),
+                         std::not_equal_to<>{}) == profiles.end();
+  if (uniform && profiles.size() <= 64)
+    candidates.push_back(place_exact_uniform(profiles, m, objective));
+
+  PlacementResult* best = &candidates.front();
+  for (PlacementResult& c : candidates) {
+    const bool better_feasibility = c.eval.feasible && !best->eval.feasible;
+    const bool same_feasibility = c.eval.feasible == best->eval.feasible;
+    if (better_feasibility ||
+        (same_feasibility && c.eval.objective < best->eval.objective))
+      best = &c;
+  }
+  PlacementResult result = std::move(*best);
+  long long examined = 0;
+  for (const PlacementResult& c : candidates) examined += c.placements_examined;
+  result.placements_examined = examined;
+  return result;
 }
 
 machine::SimResult Evaluator::simulate(
@@ -94,27 +114,17 @@ machine::SimResult Evaluator::simulate_run(const runtime::RunResult& run,
 
 sweep::SweepResult Evaluator::sweep(const sweep::SweepConfig& config,
                                     const sweep::SweepOptions& options) const {
-  if (options.threads <= 1) return sweep::run_sweep_serial(config, options);
+  if (options.threads <= 1) {
+    // One worker spawns no thread and shares nothing: the caller runs the
+    // loop inline, so no pool is cached and no lock is taken.
+    sweep::Pool inline_pool(1);
+    return sweep::run_sweep(config, inline_pool, options);
+  }
   // The lock covers the whole run: it both guards the pool cache and
   // serializes concurrent sweep/optimize calls on one Evaluator (the pool
   // supports only one parallel loop at a time anyway).
   std::lock_guard<std::mutex> lock(sweep_pool_mutex_);
   return sweep::run_sweep(config, *pool_for(options.threads), options);
-}
-
-sweep::SweepResult Evaluator::sweep(const sweep::SweepConfig& config,
-                                    int threads) const {
-  sweep::SweepOptions options;
-  options.threads = threads;
-  return sweep(config, options);
-}
-
-sweep::SweepResult Evaluator::sweep(const sweep::SweepConfig& config,
-                                    int threads,
-                                    const sweep::SweepOptions& options) const {
-  sweep::SweepOptions merged = options;
-  merged.threads = threads;
-  return sweep(config, merged);
 }
 
 SearchResult Evaluator::optimize(const SearchRequest& request) const {

@@ -4,8 +4,8 @@
 ///        stack.
 ///
 /// Callers used to thread five subsystem types by hand: a `MachineModel`
-/// into `runtime::run_distributed`, its `RunResult` plus a `PlacementMap`
-/// into the cost model, per-process powers into the envelope checker,
+/// into the executor, its `RunResult` plus a `PlacementMap` into the cost
+/// model, per-process powers into the envelope checker,
 /// synthesized traces into `machine::replay`, and a `SweepConfig` plus a
 /// `Pool` into the sweep engine. The Evaluator owns the machine and the
 /// objective once and exposes each workflow as one call — and because every
@@ -13,12 +13,8 @@
 /// off the same object: construct with `tracing`/`metrics` on (or flip them
 /// later) and every simulator replay, executor run, pool loop, and cache
 /// access records spans and metrics you can export as Chrome trace JSON.
-///
-/// The old free functions remain as thin delegating shims with
-/// `STAMP_DEPRECATED` notes (see `core/compat.hpp`).
 
 #include "api/search_types.hpp"
-#include "core/compat.hpp"
 #include "core/core.hpp"
 #include "fault/fault.hpp"
 #include "machine/simulator.hpp"
@@ -146,36 +142,22 @@ class Evaluator {
   // -- sweep -----------------------------------------------------------------
 
   /// Evaluate a parameter grid exhaustively. `options` carries everything
-  /// that shapes the run: worker threads (`options.threads` > 1 uses a
-  /// work-stealing pool and produces a byte-identical artifact to the serial
-  /// run), a write-ahead journal of completed points, resume from a previous
-  /// journal, cooperative cancellation, and a per-point deadline — see
-  /// `sweep::SweepOptions`. Evaluation streams through the batch evaluator
+  /// that shapes the run: worker threads (`options.threads` <= 1 runs on a
+  /// one-worker pool on the calling thread, > 1 on a work-stealing pool; the
+  /// artifact, and the points journaled before a failure is rethrown, are the
+  /// same at every width), a write-ahead journal of completed points, resume
+  /// from a previous journal, cooperative cancellation, and a per-point
+  /// deadline — see `sweep::SweepOptions`. Evaluation streams through the batch evaluator
   /// (sweep/batch.hpp): the grid is decoded lazily in structure-of-arrays
   /// chunks, so a 10⁶–10⁸-point config (e.g. `SweepConfig::large()`) costs
   /// memory only for its records. The config's own base machine and
   /// objective apply (a sweep explores many machines; the Evaluator's
-  /// machine is not forced onto it). The pool is cached on the Evaluator and
-  /// reused by later `sweep`/`optimize` calls of the same width, so a loop
-  /// of sweeps spawns its worker threads once, not per call.
+  /// machine is not forced onto it). A pool wider than one is cached on the
+  /// Evaluator and reused by later `sweep`/`optimize` calls of the same
+  /// width, so a loop of sweeps spawns its worker threads once, not per call.
   [[nodiscard]] sweep::SweepResult sweep(
       const sweep::SweepConfig& config,
       const sweep::SweepOptions& options = {}) const;
-
-  /// \deprecated `threads` moved into `SweepOptions::threads` — call
-  /// `sweep(config, {.threads = threads})`.
-  STAMP_DEPRECATED(
-      "pass threads via SweepOptions::threads: sweep(config, options)")
-  [[nodiscard]] sweep::SweepResult sweep(const sweep::SweepConfig& config,
-                                         int threads) const;
-
-  /// \deprecated `threads` moved into `SweepOptions::threads` — call
-  /// `sweep(config, options)` with `options.threads` set.
-  STAMP_DEPRECATED(
-      "pass threads via SweepOptions::threads: sweep(config, options)")
-  [[nodiscard]] sweep::SweepResult sweep(const sweep::SweepConfig& config,
-                                         int threads,
-                                         const sweep::SweepOptions& options) const;
 
   // -- search ----------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -41,15 +42,8 @@ PlacementResult finish(std::span<const ProcessProfile> profiles,
 }
 
 bool uniform(std::span<const ProcessProfile> profiles) {
-  if (profiles.empty()) return true;
-  const ProcessProfile& p0 = profiles.front();
-  return std::all_of(profiles.begin(), profiles.end(),
-                     [&](const ProcessProfile& p) {
-                       return p.c_fp == p0.c_fp && p.c_int == p0.c_int &&
-                              p.d_r == p0.d_r && p.d_w == p0.d_w &&
-                              p.m_s == p0.m_s && p.m_r == p0.m_r &&
-                              p.kappa == p0.kappa && p.units == p0.units;
-                     });
+  return std::adjacent_find(profiles.begin(), profiles.end(),
+                            std::not_equal_to<>{}) == profiles.end();
 }
 
 }  // namespace
@@ -330,30 +324,6 @@ PlacementResult place_exact_uniform(std::span<const ProcessProfile> profiles,
 
   return finish(profiles, std::move(pl), machine, objective, "exact-uniform",
                 examined);
-}
-
-PlacementResult place_best(std::span<const ProcessProfile> profiles,
-                           const MachineModel& machine, Objective objective) {
-  std::vector<PlacementResult> candidates;
-  candidates.push_back(place_fill_first(profiles, machine, objective));
-  candidates.push_back(place_round_robin(profiles, machine, objective));
-  candidates.push_back(place_greedy(profiles, machine, objective));
-  if (uniform(profiles) && static_cast<int>(profiles.size()) <= 64)
-    candidates.push_back(place_exact_uniform(profiles, machine, objective));
-
-  PlacementResult* best = &candidates.front();
-  for (PlacementResult& c : candidates) {
-    const bool better_feasibility = c.eval.feasible && !best->eval.feasible;
-    const bool same_feasibility = c.eval.feasible == best->eval.feasible;
-    if (better_feasibility ||
-        (same_feasibility && c.eval.objective < best->eval.objective))
-      best = &c;
-  }
-  PlacementResult result = std::move(*best);
-  long long examined = 0;
-  for (const PlacementResult& c : candidates) examined += c.placements_examined;
-  result.placements_examined = examined;
-  return result;
 }
 
 }  // namespace stamp

@@ -18,7 +18,6 @@
 /// peers co-located with it; the counters split accordingly and the standard
 /// cost formulas apply.
 
-#include "core/compat.hpp"
 #include "core/cost_model.hpp"
 #include "core/envelope.hpp"
 #include "core/metrics.hpp"
@@ -39,6 +38,9 @@ struct ProcessProfile {
   double m_r = 0;     ///< message receives per S-unit
   double kappa = 0;   ///< serialization/rollback bound per S-unit
   double units = 1;   ///< number of S-units the process executes
+
+  friend bool operator==(const ProcessProfile&,
+                         const ProcessProfile&) = default;
 
   /// Split the agnostic counters into intra/inter columns given the fraction
   /// of this process's communication that is intra-processor.
@@ -115,15 +117,5 @@ struct PlacementResult {
 [[nodiscard]] PlacementResult place_exact_uniform(
     std::span<const ProcessProfile> profiles, const MachineModel& machine,
     Objective objective, int max_processes = 64);
-
-/// Convenience: best of {fill-first, round-robin, greedy, exact-if-uniform}.
-/// \deprecated Scheduled for removal once the last in-tree caller migrates;
-/// new code must go through the facade.
-STAMP_DEPRECATED(
-    "use stamp::Evaluator::best_placement (api/stamp.hpp); place_best will "
-    "be removed in a future release")
-[[nodiscard]] PlacementResult place_best(std::span<const ProcessProfile> profiles,
-                                         const MachineModel& machine,
-                                         Objective objective);
 
 }  // namespace stamp

@@ -142,11 +142,4 @@ SupervisedResult run_supervised(const PlacementMap& placement,
   }
 }
 
-RunResult run_distributed(const Topology& topology, int n,
-                          Distribution distribution, const ProcessBody& body) {
-  const PlacementMap placement =
-      PlacementMap::for_distribution(topology, n, distribution);
-  return run_processes(placement, body);
-}
-
 }  // namespace stamp::runtime

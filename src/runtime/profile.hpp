@@ -2,7 +2,8 @@
 /// \file profile.hpp
 /// \brief Bridge from measured runs to the placement optimizer: turn a
 ///        Recorder's counters into the distribution-agnostic ProcessProfile
-///        that `place_best` and friends consume.
+///        that `Evaluator::best_placement` and the `place_*` strategies
+///        consume.
 ///
 /// The optimizer wants per-S-unit counts without an intra/inter commitment
 /// (it re-splits them per candidate placement); a recorder holds counts that

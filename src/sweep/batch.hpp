@@ -91,12 +91,12 @@ class BatchEvaluator {
   /// per point; each completed point is appended to the journal (in index
   /// order within the range). Returns the number of points journaled.
   ///
-  /// Error policy: with `fail_fast` (the serial driver), the first failing
-  /// point finishes and journals every point evaluated before it, then
-  /// rethrows — exactly the scalar serial semantics. Without it (pool
-  /// workers), a failing point is recorded into `*first_error` (under
-  /// `*error_mutex`) and every other point still runs, matching the pool's
-  /// drain-then-rethrow contract; the driver rethrows after the loop.
+  /// Error policy: with `fail_fast` (single-point and block pricing in
+  /// `serve/` and `search/`), the first failing point finishes and journals
+  /// every point evaluated before it, then rethrows. Without it (`run_sweep`
+  /// at every pool width), a failing point is recorded into `*first_error`
+  /// (under `*error_mutex`) and every other point still runs, matching the
+  /// pool's drain-then-rethrow contract; the driver rethrows after the loop.
   std::uint64_t run_range(std::size_t begin, std::size_t end,
                           std::span<SweepRecord> records, bool fail_fast,
                           std::mutex* error_mutex,

@@ -2,16 +2,11 @@
 
 #include <gtest/gtest.h>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::algo {
 namespace {
+
+using runtime::PlacementMap;
+using runtime::run_processes;
 
 const Topology kTopo{.chips = 1, .processors_per_chip = 8,
                      .threads_per_processor = 4};
@@ -28,8 +23,9 @@ TEST(FlightNetwork, ConstructionValidated) {
 TEST(Reserve, AllLegsAvailableSucceeds) {
   FlightNetwork net(4, 10);
   stm::StmRuntime rt;
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](runtime::Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](runtime::Context& ctx) {
         const ReserveOutcome out =
             reserve(ctx, rt, net, {0, 1, 2}, ReservePolicy::Partial);
         EXPECT_TRUE(out.success);
@@ -44,8 +40,9 @@ TEST(Reserve, AllLegsAvailableSucceeds) {
 TEST(Reserve, ItineraryValidated) {
   FlightNetwork net(4, 10);
   stm::StmRuntime rt;
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](runtime::Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](runtime::Context& ctx) {
         EXPECT_THROW(
             (void)reserve(ctx, rt, net, {}, ReservePolicy::Partial),
             std::invalid_argument);
@@ -58,8 +55,9 @@ TEST(Reserve, ItineraryValidated) {
 TEST(Reserve, NoneAvailableFails) {
   FlightNetwork net(3, 0);  // everything full
   stm::StmRuntime rt;
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](runtime::Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](runtime::Context& ctx) {
         const ReserveOutcome out =
             reserve(ctx, rt, net, {0, 1, 2}, ReservePolicy::Partial);
         EXPECT_FALSE(out.success);
@@ -72,8 +70,9 @@ TEST(Reserve, PartialPolicyKeepsCommittedLegs) {
   // Drain leg 1 so the middle leg fails.
   net.seats(1).poke(0);
   stm::StmRuntime rt;
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](runtime::Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](runtime::Context& ctx) {
         const ReserveOutcome out =
             reserve(ctx, rt, net, {0, 1, 2}, ReservePolicy::Partial);
         // "the committed leg is not full": success with 2 of 3.
@@ -89,8 +88,9 @@ TEST(Reserve, AllOrNothingCompensates) {
   FlightNetwork net(3, 1);
   net.seats(1).poke(0);
   stm::StmRuntime rt;
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](runtime::Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](runtime::Context& ctx) {
         const ReserveOutcome out =
             reserve(ctx, rt, net, {0, 1, 2}, ReservePolicy::AllOrNothing);
         EXPECT_FALSE(out.success);

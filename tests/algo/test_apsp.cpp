@@ -64,9 +64,28 @@ TEST(ApspDistributed, AsynchronousMatchesFloydWarshall) {
   opt.comm = CommMode::Asynchronous;
   opt.max_rounds = 200;
   const ApspResult r = apsp_distributed(g, kTopo, opt);
+  EXPECT_TRUE(r.converged);
   const std::vector<double> exact = floyd_warshall(g);
   for (std::size_t i = 0; i < exact.size(); ++i)
     EXPECT_DOUBLE_EQ(r.distances[i], exact[i]) << "index " << i;
+}
+
+TEST(ApspDistributed, ReportsWhetherItConverged) {
+  // Chain 0 -> 1 -> 2 -> 3: row 0 gains x_02 = 2 on its first sweep, so one
+  // round (synchronous) or one publishing sweep (asynchronous) runs out
+  // before the rows settle.
+  Graph g;
+  g.n = 4;
+  g.weight.assign(16, Graph::kInfinity);
+  for (int i = 0; i < 4; ++i) g.weight[static_cast<std::size_t>(i) * 4 + i] = 0;
+  for (int i = 0; i + 1 < 4; ++i)
+    g.weight[static_cast<std::size_t>(i) * 4 + i + 1] = 1;
+  ApspOptions opt;
+  opt.max_rounds = 1;
+  for (const CommMode comm : {CommMode::Synchronous, CommMode::Asynchronous}) {
+    opt.comm = comm;
+    EXPECT_FALSE(apsp_distributed(g, kTopo, opt).converged) << comm;
+  }
 }
 
 TEST(ApspDistributed, DisconnectedGraphKeepsInfinity) {
@@ -134,6 +153,7 @@ TEST_P(ApspSweep, CorrectAcrossShapes) {
   opt.comm = comm;
   opt.max_rounds = 40 * n;
   const ApspResult r = apsp_distributed(g, kTopo, opt);
+  EXPECT_TRUE(r.converged);
   const std::vector<double> exact = floyd_warshall(g);
   for (std::size_t i = 0; i < exact.size(); ++i)
     EXPECT_DOUBLE_EQ(r.distances[i], exact[i]);

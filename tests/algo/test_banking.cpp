@@ -2,16 +2,11 @@
 
 #include <gtest/gtest.h>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::algo {
 namespace {
+
+using runtime::PlacementMap;
+using runtime::run_processes;
 
 const Topology kTopo{.chips = 1, .processors_per_chip = 8,
                      .threads_per_processor = 4};
@@ -26,8 +21,9 @@ TEST(Bank, ConstructionValidated) {
 TEST(Bank, TransferMovesMoney) {
   Bank bank(4, 100);
   stm::StmRuntime rt;
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](runtime::Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](runtime::Context& ctx) {
         EXPECT_TRUE(bank.transfer(ctx, rt, 0, 1, 30));
       });
   EXPECT_EQ(bank.account(0).peek(), 70);
@@ -38,8 +34,9 @@ TEST(Bank, TransferMovesMoney) {
 TEST(Bank, InsufficientFundsRollsBackBothSubtransactions) {
   Bank bank(4, 100);
   stm::StmRuntime rt;
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](runtime::Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](runtime::Context& ctx) {
         // The withdraw sub-aborts; the deposit must not survive either.
         EXPECT_FALSE(bank.transfer(ctx, rt, 0, 1, 1000));
       });
@@ -50,19 +47,20 @@ TEST(Bank, InsufficientFundsRollsBackBothSubtransactions) {
 TEST(Bank, SelfTransferRejected) {
   Bank bank(4, 100);
   stm::StmRuntime rt;
-  (void)runtime::run_distributed(kTopo, 1, Distribution::IntraProc,
-                                 [&](runtime::Context& ctx) {
-                                   EXPECT_THROW(
-                                       (void)bank.transfer(ctx, rt, 2, 2, 1),
-                                       std::invalid_argument);
-                                 });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](runtime::Context& ctx) {
+        EXPECT_THROW((void)bank.transfer(ctx, rt, 2, 2, 1),
+                     std::invalid_argument);
+      });
 }
 
 TEST(Bank, ExactDrainSucceedsOverdraftFails) {
   Bank bank(2, 50);
   stm::StmRuntime rt;
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](runtime::Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](runtime::Context& ctx) {
         EXPECT_TRUE(bank.transfer(ctx, rt, 0, 1, 50));   // to exactly zero
         EXPECT_FALSE(bank.transfer(ctx, rt, 0, 1, 1));   // now empty
       });
@@ -73,10 +71,9 @@ TEST(Bank, ExactDrainSucceedsOverdraftFails) {
 TEST(Bank, BalanceReadsAtomically) {
   Bank bank(2, 75);
   stm::StmRuntime rt;
-  (void)runtime::run_distributed(kTopo, 1, Distribution::IntraProc,
-                                 [&](runtime::Context& ctx) {
-                                   EXPECT_EQ(bank.balance(ctx, rt, 0), 75);
-                                 });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](runtime::Context& ctx) { EXPECT_EQ(bank.balance(ctx, rt, 0), 75); });
 }
 
 TEST(TransferWorkload, ConservesMoneyUnderContention) {

@@ -47,7 +47,27 @@ TEST(Bfs, DistributedMatchesReferenceAsynchronous) {
   opt.processes = 6;
   opt.comm = CommMode::Asynchronous;
   const BfsResult r = bfs_distributed(g, kTopo, opt);
+  EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.depth, bfs_reference(g, opt.source));
+}
+
+TEST(Bfs, ReportsWhetherItConverged) {
+  // Chain 0 -> 1 -> 2 -> 3 from source 0: vertex 1 gets depth 1 on the first
+  // sweep, so one round (synchronous) or one publishing sweep (asynchronous)
+  // runs out before the depths settle.
+  Graph g;
+  g.n = 4;
+  g.weight.assign(16, Graph::kInfinity);
+  for (int i = 0; i < 4; ++i) g.weight[static_cast<std::size_t>(i) * 4 + i] = 0;
+  for (int i = 0; i + 1 < 4; ++i)
+    g.weight[static_cast<std::size_t>(i) * 4 + i + 1] = 1;
+  BfsOptions opt;
+  opt.processes = 2;
+  opt.max_rounds = 1;
+  for (const CommMode comm : {CommMode::Synchronous, CommMode::Asynchronous}) {
+    opt.comm = comm;
+    EXPECT_FALSE(bfs_distributed(g, kTopo, opt).converged) << comm;
+  }
 }
 
 TEST(Bfs, UnreachableVerticesStayMinusOne) {
@@ -92,6 +112,7 @@ TEST_P(BfsSweep, MatchesReference) {
   opt.processes = processes;
   opt.comm = comm;
   const BfsResult r = bfs_distributed(g, kTopo, opt);
+  EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.depth, bfs_reference(g, opt.source))
       << "p=" << processes << " density=" << density;
 }

@@ -54,11 +54,32 @@ TEST(PageRank, AsynchronousConvergesToSameFixedPoint) {
   opt.tolerance = 1e-12;
   opt.max_rounds = 500;
   const PageRankResult r = pagerank_distributed(g, kTopo, opt);
+  EXPECT_TRUE(r.converged);
   const std::vector<double> expected =
       pagerank_reference(g, opt.damping, 1e-13, 1000);
   // Chaotic iteration: same contraction fixed point, looser tolerance.
   for (std::size_t i = 0; i < expected.size(); ++i)
     EXPECT_NEAR(r.ranks[i], expected[i], 1e-6) << "vertex " << i;
+}
+
+// Every synchronous round reads exactly the previous iterate (no process
+// publishes before all have read), so the run is the reference power
+// iteration step for step: same update_vertex, same start, same stop rule,
+// hence bit-identical ranks on every run.
+TEST(PageRank, SynchronousEqualsTheReferenceExactly) {
+  const Graph g = make_random_graph(10, 67, 0.35);
+  PageRankOptions opt;
+  opt.processes = 5;
+  opt.comm = CommMode::Synchronous;
+  opt.tolerance = 1e-12;
+  opt.max_rounds = 500;
+  const std::vector<double> expected =
+      pagerank_reference(g, opt.damping, opt.tolerance, opt.max_rounds);
+  for (int run = 0; run < 20; ++run) {
+    const PageRankResult r = pagerank_distributed(g, kTopo, opt);
+    ASSERT_TRUE(r.converged) << "run " << run;
+    ASSERT_EQ(r.ranks, expected) << "run " << run;
+  }
 }
 
 TEST(PageRank, ReportsWhetherItConverged) {

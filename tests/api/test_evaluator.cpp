@@ -5,12 +5,6 @@
 #include <set>
 #include <string>
 
-// The facade delegates to the deprecated entry points it replaces; comparing
-// against them directly is the point of these tests.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 namespace stamp {
 namespace {
 
@@ -36,11 +30,11 @@ TEST(Evaluator, RunMatchesManualRuntimeWorkflow) {
   const Evaluator eval({.machine = machine});
 
   const RunOutcome outcome = eval.run(4, Distribution::IntraProc, tiny_body);
-  const runtime::RunResult manual = runtime::run_distributed(
-      machine.topology, 4, Distribution::IntraProc, tiny_body);
   const runtime::PlacementMap placement =
       runtime::PlacementMap::for_distribution(machine.topology, 4,
                                               Distribution::IntraProc);
+  const runtime::RunResult manual =
+      runtime::run_processes(placement, tiny_body);
 
   ASSERT_EQ(outcome.run.recorders.size(), manual.recorders.size());
   EXPECT_EQ(outcome.run.total_counters(), manual.total_counters());
@@ -67,7 +61,7 @@ TEST(Evaluator, EvaluateMatchesManualCostAndEnvelope) {
   EXPECT_EQ(evaluation.feasible, evaluation.envelope.feasible);
 }
 
-TEST(Evaluator, BestPlacementMatchesPlaceBest) {
+TEST(Evaluator, BestPlacementIsBestOfAllStrategies) {
   const MachineModel machine = presets::niagara();
   const Evaluator eval({.machine = machine, .objective = Objective::EDP});
   ProcessProfile profile;
@@ -77,11 +71,22 @@ TEST(Evaluator, BestPlacementMatchesPlaceBest) {
   profile.d_w = 4;
   const std::vector<ProcessProfile> profiles(6, profile);
 
-  const PlacementResult a = eval.best_placement(profiles);
-  const PlacementResult b = place_best(profiles, machine, Objective::EDP);
-  EXPECT_EQ(a.strategy, b.strategy);
-  EXPECT_DOUBLE_EQ(a.eval.objective, b.eval.objective);
-  EXPECT_EQ(a.eval.placement.processor_of, b.eval.placement.processor_of);
+  // Uniform profiles: the exact search joins the three heuristics.
+  const PlacementResult candidates[] = {
+      place_fill_first(profiles, machine, Objective::EDP),
+      place_round_robin(profiles, machine, Objective::EDP),
+      place_greedy(profiles, machine, Objective::EDP),
+      place_exact_uniform(profiles, machine, Objective::EDP)};
+  const PlacementResult best = eval.best_placement(profiles);
+  long long examined = 0;
+  for (const PlacementResult& c : candidates) {
+    EXPECT_TRUE(best.eval.feasible || !c.eval.feasible);
+    if (c.eval.feasible == best.eval.feasible) {
+      EXPECT_LE(best.eval.objective, c.eval.objective);
+    }
+    examined += c.placements_examined;
+  }
+  EXPECT_EQ(best.placements_examined, examined);
 }
 
 TEST(Evaluator, SweepMatchesEngineAndThreadCountIsInvisible) {
@@ -90,21 +95,10 @@ TEST(Evaluator, SweepMatchesEngineAndThreadCountIsInvisible) {
   const std::string serial = sweep::to_json(eval.sweep(cfg));
   const std::string threaded =
       sweep::to_json(eval.sweep(cfg, sweep::SweepOptions{.threads = 4}));
-  const std::string engine = sweep::to_json(sweep::run_sweep_serial(cfg));
+  sweep::Pool pool(3);
+  const std::string engine = sweep::to_json(sweep::run_sweep(cfg, pool));
   EXPECT_EQ(serial, engine);
   EXPECT_EQ(serial, threaded);
-}
-
-TEST(Evaluator, DeprecatedSweepShimsMatchTheUnifiedSignature) {
-  // The pre-unification overloads (threads as a bare argument) must keep
-  // producing the identical artifact until their scheduled removal.
-  const Evaluator eval;
-  const sweep::SweepConfig cfg = sweep::SweepConfig::tiny();
-  const std::string unified =
-      sweep::to_json(eval.sweep(cfg, sweep::SweepOptions{.threads = 2}));
-  EXPECT_EQ(sweep::to_json(eval.sweep(cfg, 2)), unified);
-  EXPECT_EQ(sweep::to_json(eval.sweep(cfg, 2, sweep::SweepOptions{})),
-            unified);
 }
 
 TEST(Evaluator, TracingDoesNotPerturbTheSweepArtifact) {

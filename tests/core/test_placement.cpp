@@ -1,12 +1,8 @@
 #include "core/placement.hpp"
 
-#include <gtest/gtest.h>
+#include "api/evaluator.hpp"
 
-// place_best is deprecated in favor of Evaluator::best_placement; this file
-// tests the strategy layer directly (including the shim) on purpose.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
+#include <gtest/gtest.h>
 
 namespace stamp {
 namespace {
@@ -176,7 +172,9 @@ TEST(Strategies, PlaceBestPicksFeasibleOverFast) {
   const auto dense = evaluate_placement(profiles, all_one, m, Objective::D);
   // Cap so only 1 process per processor is feasible.
   m.envelope.per_processor = 1.5 * dense.process_costs[0].power();
-  const PlacementResult best = place_best(profiles, m, Objective::D);
+  const PlacementResult best =
+      Evaluator({.machine = m, .objective = Objective::D})
+          .best_placement(profiles);
   EXPECT_TRUE(best.eval.feasible);
   for (int p = 0; p < m.topology.total_processors(); ++p)
     EXPECT_LE(best.eval.placement.group_size(p), 1);

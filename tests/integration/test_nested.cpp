@@ -14,16 +14,11 @@
 
 #include <atomic>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp {
 namespace {
+
+using runtime::PlacementMap;
+using runtime::run_processes;
 
 const Topology kTopo{.chips = 1, .processors_per_chip = 8,
                      .threads_per_processor = 4};
@@ -33,14 +28,16 @@ TEST(NestedStamp, InnerProgramRunsInsideOuterProcess) {
   std::atomic<int> inner_bodies{0};
   std::vector<CostCounters> inner_totals(2);
 
-  const runtime::RunResult outer = runtime::run_distributed(
-      kTopo, 2, Distribution::InterProc, [&](runtime::Context& outer_ctx) {
+  const runtime::RunResult outer = run_processes(
+      PlacementMap::for_distribution(kTopo, 2, Distribution::InterProc),
+      [&](runtime::Context& outer_ctx) {
         runtime::UnitScope unit(outer_ctx.recorder());
         outer_ctx.int_ops(5);  // coordination work
 
         // Nested STAMP: an inner intra_proc trio doing counted local work.
-        const runtime::RunResult inner = runtime::run_distributed(
-            kTopo, 3, Distribution::IntraProc, [&](runtime::Context& ctx) {
+        const runtime::RunResult inner = run_processes(
+            PlacementMap::for_distribution(kTopo, 3, Distribution::IntraProc),
+            [&](runtime::Context& ctx) {
               runtime::UnitScope u(ctx.recorder());
               ctx.fp_ops(100);
               inner_bodies.fetch_add(1);
@@ -79,8 +76,9 @@ TEST(NestedStamp, CostExprPricesTheNestedStructure) {
 
   // Measured: run it and price the recorded counters identically.
   std::vector<Cost> inner_cost(2);
-  const runtime::RunResult outer = runtime::run_distributed(
-      kTopo, 2, Distribution::InterProc, [&](runtime::Context& outer_ctx) {
+  const runtime::RunResult outer = run_processes(
+      PlacementMap::for_distribution(kTopo, 2, Distribution::InterProc),
+      [&](runtime::Context& outer_ctx) {
         runtime::UnitScope unit(outer_ctx.recorder());
         outer_ctx.int_ops(5);
         const runtime::PlacementMap inner_pm =
@@ -113,12 +111,15 @@ TEST(NestedStamp, CostExprPricesTheNestedStructure) {
 TEST(NestedStamp, DeepNestingIsReentrant) {
   // Three levels: 2 -> 2 -> 2 processes; every leaf body runs exactly once.
   std::atomic<int> leaves{0};
-  (void)runtime::run_distributed(
-      kTopo, 2, Distribution::InterProc, [&](runtime::Context&) {
-        (void)runtime::run_distributed(
-            kTopo, 2, Distribution::IntraProc, [&](runtime::Context&) {
-              (void)runtime::run_distributed(
-                  kTopo, 2, Distribution::IntraProc,
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 2, Distribution::InterProc),
+      [&](runtime::Context&) {
+        (void)run_processes(
+            PlacementMap::for_distribution(kTopo, 2, Distribution::IntraProc),
+            [&](runtime::Context&) {
+              (void)run_processes(
+                  PlacementMap::for_distribution(kTopo, 2,
+                                                 Distribution::IntraProc),
                   [&](runtime::Context&) { leaves.fetch_add(1); });
             });
       });

@@ -3,20 +3,13 @@
 /// placement optimizer fed from measured profiles.
 
 #include "algo/jacobi.hpp"
+#include "api/evaluator.hpp"
 #include "core/core.hpp"
 #include "machine/governor.hpp"
 #include "machine/simulator.hpp"
 #include "runtime/profile.hpp"
 
 #include <gtest/gtest.h>
-
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 
 namespace stamp {
 namespace {
@@ -73,7 +66,9 @@ TEST(SpecVsRuntime, MeasuredProfilesFeedThePlacementOptimizer) {
   // checks folded in by the unit structure).
   EXPECT_DOUBLE_EQ(profiles[0].m_s + profiles[0].m_r, 2.0 * (n - 1));
 
-  const PlacementResult best = place_best(profiles, m, Objective::D);
+  const PlacementResult best =
+      Evaluator({.machine = m, .objective = Objective::D})
+          .best_placement(profiles);
   EXPECT_TRUE(best.eval.feasible);
   // Communication-heavy Jacobi wants full co-location when power allows.
   EXPECT_EQ(best.eval.placement.group_size(best.eval.placement.processor_of[0]),

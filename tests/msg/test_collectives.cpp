@@ -6,18 +6,12 @@
 
 #include <numeric>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::msg {
 namespace {
 
 using runtime::Context;
+using runtime::PlacementMap;
+using runtime::run_processes;
 
 const Topology kTopo{.chips = 1, .processors_per_chip = 8,
                      .threads_per_processor = 4};
@@ -30,8 +24,9 @@ TEST_P(CollectiveSizeTest, BroadcastDeliversToEveryProcess) {
   const int n = GetParam();
   Communicator<long long> comm(n, CommMode::Asynchronous);
   std::vector<long long> got(static_cast<std::size_t>(n), -1);
-  (void)runtime::run_distributed(
-      kTopo, n, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, n, Distribution::IntraProc),
+      [&](Context& ctx) {
         const long long v = ctx.id() == 2 % n ? 4242 : -7;
         got[static_cast<std::size_t>(ctx.id())] =
             broadcast_tree(ctx, comm, v, 2 % n);
@@ -45,8 +40,9 @@ TEST_P(CollectiveSizeTest, ReduceSumsAtRoot) {
   long long expected = 0;
   for (int i = 0; i < n; ++i) expected += rank_value(i);
   std::vector<long long> result(static_cast<std::size_t>(n), -1);
-  (void)runtime::run_distributed(
-      kTopo, n, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, n, Distribution::IntraProc),
+      [&](Context& ctx) {
         result[static_cast<std::size_t>(ctx.id())] = reduce_tree(
             ctx, comm, rank_value(ctx.id()),
             [](long long a, long long b) { return a + b; });
@@ -58,8 +54,9 @@ TEST_P(CollectiveSizeTest, ScanComputesPrefixPerRank) {
   const int n = GetParam();
   Communicator<long long> comm(n, CommMode::Asynchronous);
   std::vector<long long> result(static_cast<std::size_t>(n), -1);
-  (void)runtime::run_distributed(
-      kTopo, n, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, n, Distribution::IntraProc),
+      [&](Context& ctx) {
         result[static_cast<std::size_t>(ctx.id())] = scan_inclusive(
             ctx, comm, rank_value(ctx.id()),
             [](long long a, long long b) { return a + b; });
@@ -75,8 +72,9 @@ TEST_P(CollectiveSizeTest, GatherCollectsByRank) {
   const int n = GetParam();
   Communicator<long long> comm(n, CommMode::Asynchronous);
   std::vector<long long> at_root;
-  (void)runtime::run_distributed(
-      kTopo, n, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, n, Distribution::IntraProc),
+      [&](Context& ctx) {
         std::vector<long long> got =
             gather(ctx, comm, rank_value(ctx.id()), /*root=*/0);
         if (ctx.id() == 0) at_root = std::move(got);
@@ -91,8 +89,9 @@ TEST_P(CollectiveSizeTest, ScatterDistributesByRank) {
   const int n = GetParam();
   Communicator<long long> comm(n, CommMode::Asynchronous);
   std::vector<long long> got(static_cast<std::size_t>(n), -1);
-  (void)runtime::run_distributed(
-      kTopo, n, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, n, Distribution::IntraProc),
+      [&](Context& ctx) {
         std::vector<long long> values;
         if (ctx.id() == 0)
           for (int i = 0; i < n; ++i) values.push_back(rank_value(i));
@@ -114,8 +113,9 @@ TEST_P(DoublingTest, AllReduceGivesEveryoneTheTotal) {
   long long expected = 0;
   for (int i = 0; i < n; ++i) expected += rank_value(i);
   std::vector<long long> result(static_cast<std::size_t>(n), -1);
-  (void)runtime::run_distributed(
-      kTopo, n, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, n, Distribution::IntraProc),
+      [&](Context& ctx) {
         result[static_cast<std::size_t>(ctx.id())] = all_reduce_doubling(
             ctx, comm, rank_value(ctx.id()),
             [](long long a, long long b) { return a + b; });
@@ -128,8 +128,9 @@ INSTANTIATE_TEST_SUITE_P(PowersOfTwo, DoublingTest,
 
 TEST(Collectives, DoublingRejectsNonPowerOfTwo) {
   Communicator<int> comm(3, CommMode::Asynchronous);
-  (void)runtime::run_distributed(
-      kTopo, 3, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 3, Distribution::IntraProc),
+      [&](Context& ctx) {
         EXPECT_THROW((void)all_reduce_doubling(ctx, comm, 1,
                                                [](int a, int b) { return a + b; }),
                      std::invalid_argument);
@@ -138,8 +139,9 @@ TEST(Collectives, DoublingRejectsNonPowerOfTwo) {
 
 TEST(Collectives, ScatterValidatesVectorSize) {
   Communicator<int> comm(1, CommMode::Asynchronous);
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](Context& ctx) {
         EXPECT_THROW((void)scatter(ctx, comm, std::vector<int>{1, 2}, 0),
                      std::invalid_argument);
       });
@@ -150,8 +152,8 @@ TEST(Collectives, TreeMessageCountsAreLogarithmic) {
   // non-root process) and the root sends exactly log2(16) = 4 of them.
   constexpr int kN = 16;
   Communicator<int> comm(kN, CommMode::Asynchronous);
-  const auto run = runtime::run_distributed(
-      kTopo, kN, Distribution::IntraProc,
+  const auto run = run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
       [&](Context& ctx) { (void)broadcast_tree(ctx, comm, 5, 0); });
   const CostCounters totals = run.total_counters();
   EXPECT_DOUBLE_EQ(totals.m_s_a + totals.m_s_e, kN - 1.0);
@@ -164,8 +166,9 @@ TEST(Collectives, TreeMessageCountsAreLogarithmic) {
 TEST(Collectives, ReduceChargesOneSendPerNonRoot) {
   constexpr int kN = 8;
   Communicator<long long> comm(kN, CommMode::Asynchronous);
-  const auto run = runtime::run_distributed(
-      kTopo, kN, Distribution::IntraProc, [&](Context& ctx) {
+  const auto run = run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
         (void)reduce_tree(ctx, comm, 1LL,
                           [](long long a, long long b) { return a + b; });
       });
@@ -180,8 +183,9 @@ TEST(Collectives, AllGatherDeliversEveryValueToEveryone) {
   Communicator<long long> comm(kN, CommMode::Asynchronous);
   Communicator<std::vector<long long>> vec_comm(kN, CommMode::Asynchronous);
   std::vector<std::vector<long long>> got(kN);
-  (void)runtime::run_distributed(
-      kTopo, kN, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
         got[static_cast<std::size_t>(ctx.id())] =
             all_gather(ctx, vec_comm, comm, rank_value(ctx.id()), 0);
       });
@@ -198,8 +202,9 @@ TEST(Collectives, MinAndMaxOperatorsWork) {
   constexpr int kN = 8;
   Communicator<long long> comm(kN, CommMode::Asynchronous);
   std::vector<long long> mins(kN, 0);
-  (void)runtime::run_distributed(
-      kTopo, kN, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
         mins[static_cast<std::size_t>(ctx.id())] = all_reduce_doubling(
             ctx, comm, rank_value(ctx.id()),
             [](long long a, long long b) { return std::min(a, b); });

@@ -7,14 +7,6 @@
 #include <atomic>
 #include <numeric>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::msg {
 namespace {
 
@@ -22,6 +14,7 @@ using runtime::Context;
 using runtime::PlacementMap;
 using runtime::RoundScope;
 using runtime::RunResult;
+using runtime::run_processes;
 
 const Topology kTopo{.chips = 1, .processors_per_chip = 4,
                      .threads_per_processor = 4};
@@ -40,23 +33,25 @@ TEST(Communicator, RejectsBadArguments) {
 
 TEST(Communicator, PointToPointDeliversWithProvenance) {
   Communicator<int> comm(2);
-  (void)runtime::run_distributed(kTopo, 2, Distribution::IntraProc,
-                                 [&](Context& ctx) {
-                                   if (ctx.id() == 0) {
-                                     comm.send(ctx, 1, 99);
-                                   } else {
-                                     const Envelope<int> env = comm.receive(ctx);
-                                     EXPECT_EQ(env.from, 0);
-                                     EXPECT_EQ(env.value, 99);
-                                   }
-                                 });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 2, Distribution::IntraProc),
+      [&](Context& ctx) {
+        if (ctx.id() == 0) {
+          comm.send(ctx, 1, 99);
+        } else {
+          const Envelope<int> env = comm.receive(ctx);
+          EXPECT_EQ(env.from, 0);
+          EXPECT_EQ(env.value, 99);
+        }
+      });
 }
 
 TEST(Communicator, SendCountsIntraVsInter) {
   // Fill-first on a 4-thread machine: 0-3 share a processor, 4 is alone.
   Communicator<int> comm(5);
-  const RunResult r = runtime::run_distributed(
-      kTopo, 5, Distribution::IntraProc, [&](Context& ctx) {
+  const RunResult r = run_processes(
+      PlacementMap::for_distribution(kTopo, 5, Distribution::IntraProc),
+      [&](Context& ctx) {
         if (ctx.id() == 0) {
           comm.send(ctx, 1, 1);  // intra
           comm.send(ctx, 4, 1);  // inter
@@ -76,21 +71,23 @@ TEST(Communicator, SendCountsIntraVsInter) {
 TEST(Communicator, BroadcastReachesEveryPeer) {
   constexpr int kN = 6;
   Communicator<int> comm(kN);
-  (void)runtime::run_distributed(kTopo, kN, Distribution::IntraProc,
-                                 [&](Context& ctx) {
-                                   if (ctx.id() == 0) {
-                                     comm.broadcast(ctx, 7);
-                                   } else {
-                                     EXPECT_EQ(comm.receive(ctx).value, 7);
-                                   }
-                                 });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
+        if (ctx.id() == 0) {
+          comm.broadcast(ctx, 7);
+        } else {
+          EXPECT_EQ(comm.receive(ctx).value, 7);
+        }
+      });
 }
 
 TEST(Communicator, ExchangeGathersAllValuesByRank) {
   constexpr int kN = 8;
   Communicator<int> comm(kN, CommMode::Synchronous);
-  (void)runtime::run_distributed(
-      kTopo, kN, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
         const std::vector<int> values = comm.exchange(ctx, ctx.id() * 10);
         ASSERT_EQ(values.size(), static_cast<std::size_t>(kN));
         for (int i = 0; i < kN; ++i) EXPECT_EQ(values[static_cast<std::size_t>(i)], i * 10);
@@ -101,8 +98,9 @@ TEST(Communicator, ExchangeCountsMatchJacobiFormula) {
   // n processes: each sends n-1 and receives n-1 per exchange.
   constexpr int kN = 5;
   Communicator<double> comm(kN, CommMode::Synchronous);
-  const RunResult r = runtime::run_distributed(
-      kTopo, kN, Distribution::IntraProc, [&](Context& ctx) {
+  const RunResult r = run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
         RoundScope round(ctx.recorder());
         (void)comm.exchange(ctx, 1.0);
       });
@@ -121,8 +119,9 @@ TEST(Communicator, RepeatedExchangesStayConsistent) {
   constexpr int kRounds = 50;
   Communicator<unsigned> comm(kN, CommMode::Synchronous);
   std::vector<unsigned> finals(kN, 0);
-  (void)runtime::run_distributed(
-      kTopo, kN, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
         unsigned value = static_cast<unsigned>(ctx.id());
         for (int round = 0; round < kRounds; ++round) {
           const std::vector<unsigned> values = comm.exchange(ctx, value);
@@ -138,47 +137,50 @@ TEST(Communicator, AsyncModeSkipsBarrier) {
   // exchanges' worth of sends before process 1 receives anything. With only
   // sends and try_receive this cannot deadlock.
   Communicator<int> comm(2, CommMode::Asynchronous);
-  (void)runtime::run_distributed(kTopo, 2, Distribution::IntraProc,
-                                 [&](Context& ctx) {
-                                   if (ctx.id() == 0) {
-                                     comm.send(ctx, 1, 1);
-                                     comm.send(ctx, 1, 2);
-                                   } else {
-                                     EXPECT_EQ(comm.receive(ctx).value, 1);
-                                     EXPECT_EQ(comm.receive(ctx).value, 2);
-                                   }
-                                 });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 2, Distribution::IntraProc),
+      [&](Context& ctx) {
+        if (ctx.id() == 0) {
+          comm.send(ctx, 1, 1);
+          comm.send(ctx, 1, 2);
+        } else {
+          EXPECT_EQ(comm.receive(ctx).value, 1);
+          EXPECT_EQ(comm.receive(ctx).value, 2);
+        }
+      });
 }
 
 TEST(Communicator, ExplicitBarrierAligns) {
   constexpr int kN = 4;
   Communicator<int> comm(kN, CommMode::Asynchronous);
   std::atomic<int> arrived{0};
-  (void)runtime::run_distributed(kTopo, kN, Distribution::IntraProc,
-                                 [&](Context& ctx) {
-                                   (void)ctx;
-                                   arrived.fetch_add(1);
-                                   comm.barrier();
-                                   EXPECT_EQ(arrived.load(), kN);
-                                 });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
+        (void)ctx;
+        arrived.fetch_add(1);
+        comm.barrier();
+        EXPECT_EQ(arrived.load(), kN);
+      });
 }
 
 TEST(Communicator, CloseAllPropagates) {
   Communicator<int> comm(2);
-  (void)runtime::run_distributed(kTopo, 2, Distribution::IntraProc,
-                                 [&](Context& ctx) {
-                                   if (ctx.id() == 0) {
-                                     comm.close_all();
-                                   } else {
-                                     try {
-                                       (void)comm.receive(ctx);
-                                       // Either got closed...
-                                       FAIL() << "expected MailboxClosed";
-                                     } catch (const MailboxClosed&) {
-                                       SUCCEED();
-                                     }
-                                   }
-                                 });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 2, Distribution::IntraProc),
+      [&](Context& ctx) {
+        if (ctx.id() == 0) {
+          comm.close_all();
+        } else {
+          try {
+            (void)comm.receive(ctx);
+            // Either got closed...
+            FAIL() << "expected MailboxClosed";
+          } catch (const MailboxClosed&) {
+            SUCCEED();
+          }
+        }
+      });
 }
 
 }  // namespace

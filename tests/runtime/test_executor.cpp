@@ -5,12 +5,6 @@
 #include <atomic>
 #include <stdexcept>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file tests
-// the executor layer directly (including the shim) on purpose.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 namespace stamp::runtime {
 namespace {
 
@@ -19,8 +13,9 @@ const Topology kTopo{.chips = 1, .processors_per_chip = 4,
 
 TEST(Executor, RunsOneBodyPerProcess) {
   std::atomic<int> calls{0};
-  const RunResult r = run_distributed(kTopo, 8, Distribution::IntraProc,
-                                      [&](Context&) { ++calls; });
+  const RunResult r = run_processes(
+      PlacementMap::for_distribution(kTopo, 8, Distribution::IntraProc),
+      [&](Context&) { ++calls; });
   EXPECT_EQ(calls.load(), 8);
   EXPECT_EQ(r.recorders.size(), 8u);
   EXPECT_GT(r.wall_time.count(), 0);
@@ -28,16 +23,19 @@ TEST(Executor, RunsOneBodyPerProcess) {
 
 TEST(Executor, ContextIdsAreDistinctAndComplete) {
   std::vector<std::atomic<int>> seen(8);
-  (void)run_distributed(kTopo, 8, Distribution::InterProc, [&](Context& ctx) {
-    seen[static_cast<std::size_t>(ctx.id())].fetch_add(1);
-    EXPECT_EQ(ctx.process_count(), 8);
-  });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 8, Distribution::InterProc),
+      [&](Context& ctx) {
+        seen[static_cast<std::size_t>(ctx.id())].fetch_add(1);
+        EXPECT_EQ(ctx.process_count(), 8);
+      });
   for (auto& s : seen) EXPECT_EQ(s.load(), 1);
 }
 
 TEST(Executor, RecordersCollectPerProcessCounts) {
-  const RunResult r =
-      run_distributed(kTopo, 4, Distribution::IntraProc, [](Context& ctx) {
+  const RunResult r = run_processes(
+      PlacementMap::for_distribution(kTopo, 4, Distribution::IntraProc),
+      [](Context& ctx) {
         ctx.fp_ops(ctx.id() + 1);
         ctx.int_ops(10);
       });
@@ -51,23 +49,28 @@ TEST(Executor, RecordersCollectPerProcessCounts) {
 
 TEST(Executor, IntraWithFollowsPlacement) {
   // 8 processes fill-first on 4-thread processors: 0-3 together, 4-7 together.
-  (void)run_distributed(kTopo, 8, Distribution::IntraProc, [](Context& ctx) {
-    const bool first_group = ctx.id() < 4;
-    const int same = first_group ? (ctx.id() + 1) % 4 : 4 + (ctx.id() + 1) % 4;
-    if (same != ctx.id()) {
-      EXPECT_TRUE(ctx.intra_with(same));
-    }
-    const int other = first_group ? 4 : 0;
-    EXPECT_FALSE(ctx.intra_with(other));
-  });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 8, Distribution::IntraProc),
+      [](Context& ctx) {
+        const bool first_group = ctx.id() < 4;
+        const int same =
+            first_group ? (ctx.id() + 1) % 4 : 4 + (ctx.id() + 1) % 4;
+        if (same != ctx.id()) {
+          EXPECT_TRUE(ctx.intra_with(same));
+        }
+        const int other = first_group ? 4 : 0;
+        EXPECT_FALSE(ctx.intra_with(other));
+      });
 }
 
 TEST(Executor, ExceptionPropagates) {
-  EXPECT_THROW((void)run_distributed(kTopo, 4, Distribution::IntraProc,
-                                     [](Context& ctx) {
-                                       if (ctx.id() == 2)
-                                         throw std::runtime_error("boom");
-                                     }),
+  const PlacementMap pm =
+      PlacementMap::for_distribution(kTopo, 4, Distribution::IntraProc);
+  EXPECT_THROW((void)run_processes(pm,
+                                   [](Context& ctx) {
+                                     if (ctx.id() == 2)
+                                       throw std::runtime_error("boom");
+                                   }),
                std::runtime_error);
 }
 
@@ -80,15 +83,15 @@ TEST(Executor, CostsUsePlacementContext) {
     ctx.recorder().msg_recv(false, 3);
     ctx.fp_ops(5);
   };
-  const RunResult intra = run_distributed(kTopo, 4, Distribution::IntraProc, body);
-  const RunResult inter = run_distributed(kTopo, 4, Distribution::InterProc, body);
-
-  const MachineParams mp;
-  const EnergyParams ep;
   const PlacementMap pm_intra =
       PlacementMap::for_distribution(kTopo, 4, Distribution::IntraProc);
   const PlacementMap pm_inter =
       PlacementMap::for_distribution(kTopo, 4, Distribution::InterProc);
+  const RunResult intra = run_processes(pm_intra, body);
+  const RunResult inter = run_processes(pm_inter, body);
+
+  const MachineParams mp;
+  const EnergyParams ep;
   const Cost c_intra = intra.total_cost(pm_intra, mp, ep);
   const Cost c_inter = inter.total_cost(pm_inter, mp, ep);
   // Same ops; the inter placement adds ell_e/L_e through the brackets.
@@ -97,8 +100,9 @@ TEST(Executor, CostsUsePlacementContext) {
 }
 
 TEST(Executor, SingleProcessRun) {
-  const RunResult r = run_distributed(kTopo, 1, Distribution::IntraProc,
-                                      [](Context& ctx) { ctx.fp_ops(42); });
+  const RunResult r = run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [](Context& ctx) { ctx.fp_ops(42); });
   EXPECT_EQ(r.recorders.size(), 1u);
   EXPECT_DOUBLE_EQ(r.total_counters().c_fp, 42);
 }

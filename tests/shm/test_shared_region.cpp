@@ -4,19 +4,12 @@
 
 #include <atomic>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::shm {
 namespace {
 
 using runtime::Context;
 using runtime::PlacementMap;
+using runtime::run_processes;
 
 const Topology kTopo{.chips = 1, .processors_per_chip = 4,
                      .threads_per_processor = 4};
@@ -39,19 +32,21 @@ TEST(ResolveIntra, AutoFollowsPlacement) {
 
 TEST(SharedRegion, ReadWriteRoundTrip) {
   SharedRegion<int> region(5);
-  (void)runtime::run_distributed(kTopo, 1, Distribution::IntraProc,
-                                 [&](Context& ctx) {
-                                   EXPECT_EQ(region.read(ctx), 5);
-                                   region.write(ctx, 9);
-                                   EXPECT_EQ(region.read(ctx), 9);
-                                 });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](Context& ctx) {
+        EXPECT_EQ(region.read(ctx), 5);
+        region.write(ctx, 9);
+        EXPECT_EQ(region.read(ctx), 9);
+      });
   EXPECT_EQ(region.peek(), 9);
 }
 
 TEST(SharedRegion, AccessesAreCounted) {
   SharedRegion<int> region(0);
-  const auto r = runtime::run_distributed(
-      kTopo, 2, Distribution::IntraProc, [&](Context& ctx) {
+  const auto r = run_processes(
+      PlacementMap::for_distribution(kTopo, 2, Distribution::IntraProc),
+      [&](Context& ctx) {
         (void)region.read(ctx);
         (void)region.read(ctx);
         region.write(ctx, 1);
@@ -65,8 +60,8 @@ TEST(SharedRegion, AccessesAreCounted) {
 
 TEST(SharedRegion, InterPlacementChargesInter) {
   SharedRegion<int> region(0);
-  const auto r = runtime::run_distributed(
-      kTopo, 2, Distribution::InterProc,
+  const auto r = run_processes(
+      PlacementMap::for_distribution(kTopo, 2, Distribution::InterProc),
       [&](Context& ctx) { (void)region.read(ctx); });
   EXPECT_DOUBLE_EQ(r.recorders[0].totals().d_r_e, 1);
   EXPECT_DOUBLE_EQ(r.recorders[0].totals().d_r_a, 0);
@@ -76,11 +71,12 @@ TEST(SharedRegion, ConcurrentUpdatesAreAtomic) {
   constexpr int kN = 8;
   constexpr int kIncrements = 2000;
   SharedRegion<long> region(0);
-  (void)runtime::run_distributed(kTopo, kN, Distribution::IntraProc,
-                                 [&](Context& ctx) {
-                                   for (int i = 0; i < kIncrements; ++i)
-                                     region.update(ctx, [](long& v) { ++v; });
-                                 });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
+        for (int i = 0; i < kIncrements; ++i)
+          region.update(ctx, [](long& v) { ++v; });
+      });
   EXPECT_EQ(region.peek(), static_cast<long>(kN) * kIncrements);
 }
 
@@ -88,19 +84,21 @@ TEST(QueuedCell, SerializedUpdatesSumCorrectly) {
   constexpr int kN = 8;
   constexpr int kIncrements = 2000;
   QueuedCell<long> cell(0);
-  (void)runtime::run_distributed(kTopo, kN, Distribution::IntraProc,
-                                 [&](Context& ctx) {
-                                   for (int i = 0; i < kIncrements; ++i)
-                                     cell.update(ctx, [](long& v) { ++v; });
-                                 });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
+        for (int i = 0; i < kIncrements; ++i)
+          cell.update(ctx, [](long& v) { ++v; });
+      });
   EXPECT_EQ(cell.peek(), static_cast<long>(kN) * kIncrements);
 }
 
 TEST(QueuedCell, SerializationObserved) {
   constexpr int kN = 8;
   QueuedCell<long> cell(0);
-  const auto r = runtime::run_distributed(
-      kTopo, kN, Distribution::IntraProc, [&](Context& ctx) {
+  const auto r = run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
         for (int i = 0; i < 5000; ++i) cell.update(ctx, [](long& v) { ++v; });
       });
   // Under heavy contention from 8 threads, some queueing must be visible.
@@ -113,8 +111,8 @@ TEST(QueuedCell, SerializationObserved) {
 
 TEST(QueuedCell, SingleAccessorKappaIsOne) {
   QueuedCell<int> cell(0);
-  const auto r = runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc,
+  const auto r = run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
       [&](Context& ctx) { cell.update(ctx, [](int& v) { v = 7; }); });
   EXPECT_DOUBLE_EQ(cell.worst_serialization(), 1);
   EXPECT_DOUBLE_EQ(r.recorders[0].totals().kappa, 1);
@@ -122,12 +120,12 @@ TEST(QueuedCell, SingleAccessorKappaIsOne) {
 
 TEST(QueuedCell, UpdateReturnsValue) {
   QueuedCell<int> cell(10);
-  (void)runtime::run_distributed(kTopo, 1, Distribution::IntraProc,
-                                 [&](Context& ctx) {
-                                   const int prev = cell.update(
-                                       ctx, [](int& v) { return v++; });
-                                   EXPECT_EQ(prev, 10);
-                                 });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](Context& ctx) {
+        const int prev = cell.update(ctx, [](int& v) { return v++; });
+        EXPECT_EQ(prev, 10);
+      });
   EXPECT_EQ(cell.peek(), 11);
 }
 

@@ -2,18 +2,12 @@
 
 #include <gtest/gtest.h>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::shm {
 namespace {
 
 using runtime::Context;
+using runtime::PlacementMap;
+using runtime::run_processes;
 
 const Topology kTopo{.chips = 1, .processors_per_chip = 4,
                      .threads_per_processor = 4};
@@ -43,13 +37,14 @@ TEST(SwmrMatrix, BoundsChecked) {
 
 TEST(SwmrMatrix, OwnershipEnforced) {
   SwmrMatrix<int> m(4, 4);
-  (void)runtime::run_distributed(kTopo, 4, Distribution::IntraProc,
-                                 [&](Context& ctx) {
-                                   m.write(ctx, ctx.id(), 0, ctx.id());
-                                   const int other = (ctx.id() + 1) % 4;
-                                   EXPECT_THROW(m.write(ctx, other, 0, 0),
-                                                std::logic_error);
-                                 });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 4, Distribution::IntraProc),
+      [&](Context& ctx) {
+        m.write(ctx, ctx.id(), 0, ctx.id());
+        const int other = (ctx.id() + 1) % 4;
+        EXPECT_THROW(m.write(ctx, other, 0, 0),
+                     std::logic_error);
+      });
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(m.peek(i, 0), i);
   }
@@ -57,8 +52,9 @@ TEST(SwmrMatrix, OwnershipEnforced) {
 
 TEST(SwmrMatrix, RowWriteSizeChecked) {
   SwmrMatrix<int> m(2, 3);
-  (void)runtime::run_distributed(
-      kTopo, 2, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 2, Distribution::IntraProc),
+      [&](Context& ctx) {
         if (ctx.id() == 0) {
           EXPECT_THROW(m.write_row(ctx, 0, std::vector<int>{1, 2}),
                        std::invalid_argument);
@@ -68,8 +64,9 @@ TEST(SwmrMatrix, RowWriteSizeChecked) {
 
 TEST(SwmrMatrix, ReadCountsChargePerElement) {
   SwmrMatrix<double> m(4, 4);
-  const auto r = runtime::run_distributed(
-      kTopo, 4, Distribution::IntraProc, [&](Context& ctx) {
+  const auto r = run_processes(
+      PlacementMap::for_distribution(kTopo, 4, Distribution::IntraProc),
+      [&](Context& ctx) {
         (void)m.read_row(ctx, ctx.id());       // 4 reads
         (void)m.read(ctx, (ctx.id() + 1) % 4, 0);  // 1 read
       });
@@ -79,8 +76,8 @@ TEST(SwmrMatrix, ReadCountsChargePerElement) {
 
 TEST(SwmrMatrix, ReadAllChargesWholeMatrix) {
   SwmrMatrix<double> m(4, 4);
-  const auto r = runtime::run_distributed(
-      kTopo, 4, Distribution::IntraProc,
+  const auto r = run_processes(
+      PlacementMap::for_distribution(kTopo, 4, Distribution::IntraProc),
       [&](Context& ctx) { (void)m.read_all(ctx); });
   const CostCounters c = r.recorders[0].totals();
   EXPECT_DOUBLE_EQ(c.d_r_a + c.d_r_e, 16);
@@ -89,8 +86,9 @@ TEST(SwmrMatrix, ReadAllChargesWholeMatrix) {
 TEST(SwmrMatrix, IntraInterSplitFollowsRowOwner) {
   // InterProc placement: every peer is remote, own row is local.
   SwmrMatrix<double> m(4, 2);
-  const auto r = runtime::run_distributed(
-      kTopo, 4, Distribution::InterProc, [&](Context& ctx) {
+  const auto r = run_processes(
+      PlacementMap::for_distribution(kTopo, 4, Distribution::InterProc),
+      [&](Context& ctx) {
         for (int row = 0; row < 4; ++row) (void)m.read_row(ctx, row);
       });
   const CostCounters c = r.recorders[0].totals();
@@ -101,8 +99,9 @@ TEST(SwmrMatrix, IntraInterSplitFollowsRowOwner) {
 TEST(SwmrMatrix, WritesVisibleToReaders) {
   constexpr int kN = 4;
   SwmrMatrix<long> m(kN, 1, -1);
-  (void)runtime::run_distributed(
-      kTopo, kN, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
         m.write(ctx, ctx.id(), 0, 100 + ctx.id());
         // Spin until all rows are published (SWMR: no locks needed).
         for (int row = 0; row < kN; ++row) {
@@ -117,8 +116,9 @@ TEST(SwmrMatrix, ConcurrentSingleWriterPerRowKeepsRowsIndependent) {
   constexpr int kN = 8;
   constexpr int kWrites = 1000;
   SwmrMatrix<long> m(kN, 4);
-  (void)runtime::run_distributed(
-      kTopo, kN, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
         for (int w = 1; w <= kWrites; ++w) {
           std::vector<long> row(4, static_cast<long>(ctx.id()) * kWrites + w);
           m.write_row(ctx, ctx.id(), row);

@@ -6,18 +6,12 @@
 
 #include <numeric>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::stm {
 namespace {
 
 using runtime::Context;
+using runtime::PlacementMap;
+using runtime::run_processes;
 
 const Topology kTopo{.chips = 1, .processors_per_chip = 4,
                      .threads_per_processor = 4};
@@ -25,13 +19,14 @@ const Topology kTopo{.chips = 1, .processors_per_chip = 4,
 TEST(StmRuntime, AtomicallyCommitsAndCounts) {
   StmRuntime rt;
   TVar<int> v(0);
-  (void)runtime::run_distributed(kTopo, 1, Distribution::IntraProc,
-                                 [&](Context& ctx) {
-                                   rt.atomically(ctx, [&](Transaction& tx) {
-                                     tx.write(v, tx.read(v) + 1);
-                                     return true;
-                                   });
-                                 });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](Context& ctx) {
+        rt.atomically(ctx, [&](Transaction& tx) {
+          tx.write(v, tx.read(v) + 1);
+          return true;
+        });
+      });
   EXPECT_EQ(v.peek(), 1);
   EXPECT_EQ(rt.stats().commits.load(), 1u);
   EXPECT_EQ(rt.stats().aborts.load(), 0u);
@@ -40,20 +35,20 @@ TEST(StmRuntime, AtomicallyCommitsAndCounts) {
 TEST(StmRuntime, VoidBodySupported) {
   StmRuntime rt;
   TVar<int> v(0);
-  (void)runtime::run_distributed(kTopo, 1, Distribution::IntraProc,
-                                 [&](Context& ctx) {
-                                   rt.atomically(ctx, [&](Transaction& tx) {
-                                     tx.write(v, 7);
-                                   });
-                                 });
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](Context& ctx) {
+        rt.atomically(ctx, [&](Transaction& tx) { tx.write(v, 7); });
+      });
   EXPECT_EQ(v.peek(), 7);
 }
 
 TEST(StmRuntime, ReadsAndWritesChargedToRecorder) {
   StmRuntime rt;
   TVar<int> v(0);
-  const auto r = runtime::run_distributed(
-      kTopo, 2, Distribution::IntraProc, [&](Context& ctx) {
+  const auto r = run_processes(
+      PlacementMap::for_distribution(kTopo, 2, Distribution::IntraProc),
+      [&](Context& ctx) {
         rt.atomically(ctx, [&](Transaction& tx) {
           tx.write(v, tx.read(v) + 1);
           return 0;
@@ -70,8 +65,9 @@ TEST(StmRuntime, ReadsAndWritesChargedToRecorder) {
 TEST(StmRuntime, TryAtomicallyReturnsEmptyOnCancel) {
   StmRuntime rt;
   TVar<int> v(5);
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](Context& ctx) {
         const std::optional<int> result =
             rt.try_atomically(ctx, [&](Transaction& tx) -> int {
               tx.write(v, 99);
@@ -89,8 +85,9 @@ TEST(StmRuntime, CounterIncrementsLinearize) {
   constexpr int kIncrements = 2000;
   StmRuntime rt(std::make_unique<BackoffManager>());
   TVar<long> counter(0);
-  (void)runtime::run_distributed(
-      kTopo, kN, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
         for (int i = 0; i < kIncrements; ++i) {
           rt.atomically(ctx, [&](Transaction& tx) {
             tx.write(counter, tx.read(counter) + 1);
@@ -108,8 +105,9 @@ TEST(StmRuntime, DisjointWritesDontConflictMuch) {
   StmRuntime rt;
   std::vector<std::unique_ptr<TVar<long>>> vars;
   for (int i = 0; i < kN; ++i) vars.push_back(std::make_unique<TVar<long>>(0));
-  (void)runtime::run_distributed(
-      kTopo, kN, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
         for (int i = 0; i < 1000; ++i) {
           rt.atomically(ctx, [&](Transaction& tx) {
             TVar<long>& own = *vars[static_cast<std::size_t>(ctx.id())];
@@ -134,8 +132,9 @@ TEST(StmRuntime, MoneyConservedUnderCrossTransfers) {
   for (int i = 0; i < kAccounts; ++i)
     accounts.push_back(std::make_unique<TVar<long>>(kInitial));
 
-  (void)runtime::run_distributed(
-      kTopo, kN, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
         for (int i = 0; i < 1500; ++i) {
           const int from = (ctx.id() + i) % kAccounts;
           const int to = (from + 1 + i % (kAccounts - 1)) % kAccounts;
@@ -161,8 +160,9 @@ TEST(StmRuntime, SnapshotsAreConsistentUnderConcurrentUpdates) {
   TVar<long> x(0);
   TVar<long> y(0);
   std::atomic<bool> violation{false};
-  (void)runtime::run_distributed(
-      kTopo, 8, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 8, Distribution::IntraProc),
+      [&](Context& ctx) {
         if (ctx.id() < 4) {
           for (int i = 0; i < 2000; ++i) {
             rt.atomically(ctx, [&](Transaction& tx) {
@@ -191,8 +191,9 @@ TEST(StmRuntime, KappaRecordsRetries) {
   // recorders' kappa must be consistent (kappa <= max_retries).
   StmRuntime rt;  // passive manager maximizes conflicts
   TVar<long> hot(0);
-  const auto r = runtime::run_distributed(
-      kTopo, 8, Distribution::IntraProc, [&](Context& ctx) {
+  const auto r = run_processes(
+      PlacementMap::for_distribution(kTopo, 8, Distribution::IntraProc),
+      [&](Context& ctx) {
         for (int i = 0; i < 500; ++i) {
           rt.atomically(ctx, [&](Transaction& tx) {
             tx.write(hot, tx.read(hot) + 1);
@@ -216,8 +217,9 @@ TEST(StmRuntime, WideValuesNeverTear) {
   StmRuntime rt(std::make_unique<BackoffManager>());
   TVar<Pair> v(Pair{0, 0});
   std::atomic<bool> torn{false};
-  (void)runtime::run_distributed(
-      kTopo, 6, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 6, Distribution::IntraProc),
+      [&](Context& ctx) {
         if (ctx.id() < 3) {
           for (int i = 1; i <= 1500; ++i) {
             const double x = ctx.id() * 10'000 + i;
@@ -243,8 +245,9 @@ class ManagerSweepTest : public ::testing::TestWithParam<const char*> {};
 TEST_P(ManagerSweepTest, CounterCorrectUnderEveryManager) {
   StmRuntime rt(make_manager(GetParam()));
   TVar<long> counter(0);
-  (void)runtime::run_distributed(
-      kTopo, 6, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 6, Distribution::IntraProc),
+      [&](Context& ctx) {
         for (int i = 0; i < 800; ++i) {
           rt.atomically(ctx, [&](Transaction& tx) {
             tx.write(counter, tx.read(counter) + 1);

@@ -12,18 +12,12 @@
 #include <memory>
 #include <thread>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::stm {
 namespace {
 
 using runtime::Context;
+using runtime::PlacementMap;
+using runtime::run_processes;
 
 const Topology kTopo{.chips = 1, .processors_per_chip = 4,
                      .threads_per_processor = 4};
@@ -42,8 +36,9 @@ TEST(StmFaults, ForcedAbortsCountAsConflictsAndStillCommit) {
   const ArmedPlan armed(plan);
   StmRuntime rt;
   TVar<int> v(0);
-  const auto r = runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](Context& ctx) {
+  const auto r = run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](Context& ctx) {
         rt.atomically(ctx, [&](Transaction& tx) {
           tx.write(v, tx.read(v) + 1);
           return true;
@@ -69,13 +64,14 @@ TEST(StmFaults, ForcedAbortsAppearInObsTrace) {
     const ArmedPlan armed(plan);
     StmRuntime rt;
     TVar<int> v(0);
-    (void)runtime::run_distributed(kTopo, 1, Distribution::IntraProc,
-                                   [&](Context& ctx) {
-                                     rt.atomically(ctx, [&](Transaction& tx) {
-                                       tx.write(v, 1);
-                                       return true;
-                                     });
-                                   });
+    (void)run_processes(
+        PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+        [&](Context& ctx) {
+          rt.atomically(ctx, [&](Transaction& tx) {
+            tx.write(v, 1);
+            return true;
+          });
+        });
   }
   obs::set_tracing_enabled(false);
   int fault_instants = 0;
@@ -93,8 +89,9 @@ TEST(StmFaults, BoundedRetryPolicyThrowsRetryExhausted) {
   rt.set_retry_policy(fault::RetryPolicy::bounded(4));
   TVar<int> v(0);
   int exhausted_retries = 0;
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](Context& ctx) {
         try {
           rt.atomically(ctx, [&](Transaction& tx) {
             tx.write(v, 1);
@@ -147,8 +144,10 @@ TEST(StmFaults, StatsStayConsistentUnderForcedAbortStorm) {
   });
 
   std::uint64_t cancels_expected = 0;
-  (void)runtime::run_distributed(
-      kTopo, kProcesses, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kProcesses,
+                                     Distribution::IntraProc),
+      [&](Context& ctx) {
         for (int i = 0; i < kTxnsPerProcess; ++i) {
           if (i % 10 == 9) {
             // Sprinkle business-level cancels into the storm.

@@ -6,18 +6,12 @@
 
 #include <numeric>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::stm {
 namespace {
 
 using runtime::Context;
+using runtime::PlacementMap;
+using runtime::run_processes;
 
 const Topology kTopo{.chips = 1, .processors_per_chip = 4,
                      .threads_per_processor = 4};
@@ -38,8 +32,9 @@ TEST(TArray, OutOfRangeThrows) {
 TEST(TArray, UpdateAndSnapshot) {
   TArray<long> a(4, 10);
   StmRuntime rt;
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](Context& ctx) {
         a.update(ctx, rt, 1, [](long& v) { v += 5; });
         const std::vector<long> snap = a.snapshot(ctx, rt);
         EXPECT_EQ(snap, (std::vector<long>{10, 15, 10, 10}));
@@ -49,8 +44,9 @@ TEST(TArray, UpdateAndSnapshot) {
 TEST(TArray, TransferPreservesSum) {
   TArray<long> a(4, 100);
   StmRuntime rt;
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](Context& ctx) {
         a.transfer(ctx, rt, 0, 3, 25);
         a.transfer(ctx, rt, 1, 1, 99);  // self-transfer is a no-op
       });
@@ -62,8 +58,9 @@ TEST(TArray, TransferPreservesSum) {
 TEST(TArray, FoldIsAtomic) {
   TArray<long> a(8, 1);
   StmRuntime rt;
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](Context& ctx) {
         const long sum = a.fold(ctx, rt, 0L,
                                 [](long acc, long v) { return acc + v; });
         EXPECT_EQ(sum, 8);
@@ -75,8 +72,9 @@ TEST(TArray, ConcurrentTransfersConserveTotal) {
   constexpr long kInitial = 1000;
   TArray<long> accounts(16, kInitial);
   StmRuntime rt(std::make_unique<BackoffManager>());
-  (void)runtime::run_distributed(
-      kTopo, kN, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, kN, Distribution::IntraProc),
+      [&](Context& ctx) {
         for (int i = 0; i < 800; ++i) {
           const std::size_t from = (ctx.id() * 3 + i) % 16;
           const std::size_t to = (from + 1 + i % 15) % 16;
@@ -92,8 +90,9 @@ TEST(TArray, SnapshotsNeverTearUnderConcurrentTransfers) {
   TArray<long> a(4, 250);
   StmRuntime rt(std::make_unique<BackoffManager>());
   std::atomic<bool> torn{false};
-  (void)runtime::run_distributed(
-      kTopo, 8, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 8, Distribution::IntraProc),
+      [&](Context& ctx) {
         if (ctx.id() < 4) {
           for (int i = 0; i < 1000; ++i)
             a.transfer(ctx, rt, ctx.id() % 4, (ctx.id() + 1) % 4, 1);
@@ -113,8 +112,9 @@ TEST(TArray, ComposesIntoLargerTransactions) {
   TArray<long> a(2, 50);
   TVar<long> ops(0);
   StmRuntime rt;
-  (void)runtime::run_distributed(
-      kTopo, 1, Distribution::IntraProc, [&](Context& ctx) {
+  (void)run_processes(
+      PlacementMap::for_distribution(kTopo, 1, Distribution::IntraProc),
+      [&](Context& ctx) {
         rt.atomically(ctx, [&](Transaction& tx) {
           a.set(tx, 0, a.get(tx, 0) - 10);
           a.set(tx, 1, a.get(tx, 1) + 10);

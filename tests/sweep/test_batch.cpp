@@ -18,14 +18,6 @@
 #include <string>
 #include <vector>
 
-// run_sweep/run_sweep_serial are deprecated in favor of Evaluator::sweep;
-// this file exercises the sweep engine directly on purpose (it is the layer
-// under test/measurement, below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::sweep {
 namespace {
 
@@ -52,7 +44,8 @@ TEST(Batch, ReferencePathIsDeterministic) {
 // grid CI `cmp`s against sweeps/baseline.json).
 TEST(Batch, MatchesScalarReferenceOnEveryCanonicalPoint) {
   const SweepConfig cfg = SweepConfig::canonical();
-  const SweepResult r = run_sweep_serial(cfg);
+  Pool pool(1);
+  const SweepResult r = run_sweep(cfg, pool);
   ASSERT_EQ(r.records.size(), cfg.grid.size());
   for (std::size_t i = 0; i < cfg.grid.size(); ++i)
     EXPECT_EQ(r.records[i], evaluate_point_reference(cfg, i)) << "index " << i;
@@ -80,7 +73,8 @@ TEST(Batch, RaggedSubBatchBoundariesMatchTheReference) {
       .axis(std::string(axes::kEllE), linspace(8, 40, 0x80 + 1))
       .axis(std::string(axes::kKappa), {0});
   ASSERT_EQ(cfg.grid.size(), 4u * 129u);  // 516 = 2*256 + 4: ragged tail
-  const SweepResult r = run_sweep_serial(cfg);
+  Pool pool(1);
+  const SweepResult r = run_sweep(cfg, pool);
   for (const std::size_t i :
        {std::size_t{0}, BatchEvaluator::kBatch - 1, BatchEvaluator::kBatch,
         2 * BatchEvaluator::kBatch - 1, 2 * BatchEvaluator::kBatch,
@@ -98,7 +92,8 @@ TEST(Batch, DuplicateAxisValuesHitTheCacheWithoutChangingRecords) {
   cfg.grid = ParamGrid{};
   cfg.grid.axis(std::string(axes::kCores), {4, 4})
       .axis(std::string(axes::kKappa), {0, 8});
-  const SweepResult r = run_sweep_serial(cfg);
+  Pool pool(1);
+  const SweepResult r = run_sweep(cfg, pool);
   const auto points = static_cast<std::uint64_t>(cfg.grid.size());
   EXPECT_EQ(r.stats.cache_hits + r.stats.cache_misses, points);
   EXPECT_EQ(r.stats.cache_misses, 2u);  // two distinct tuples
@@ -114,7 +109,8 @@ TEST(Batch, DuplicateAxisValuesHitTheCacheWithoutChangingRecords) {
 // sweeps/baseline.json.
 TEST(Batch, CacheOptionsDefaultsLeaveSweepRecordsBitIdentical) {
   const SweepConfig cfg = SweepConfig::tiny();
-  const SweepResult classic = run_sweep_serial(cfg);
+  Pool pool(1);
+  const SweepResult classic = run_sweep(cfg, pool);
 
   CostCache cache{CacheOptions{}};
   std::vector<SweepRecord> records(cfg.grid.size());
@@ -135,7 +131,8 @@ TEST(Batch, CacheOptionsDefaultsLeaveSweepRecordsBitIdentical) {
 // uninterrupted run's.
 TEST(Batch, ResumedRunsAreByteIdenticalAtEveryWidth) {
   const SweepConfig cfg = SweepConfig::tiny();
-  const SweepResult full = run_sweep_serial(cfg);
+  Pool one(1);
+  const SweepResult full = run_sweep(cfg, one);
   const std::string want = to_json(full);
 
   std::string journal_bytes{Journal::header_line(cfg)};
@@ -151,9 +148,6 @@ TEST(Batch, ResumedRunsAreByteIdenticalAtEveryWidth) {
 
   SweepOptions options;
   options.resume = &resume;
-  const SweepResult serial = run_sweep_serial(cfg, options);
-  EXPECT_EQ(serial.stats.resumed_points, journaled);
-  EXPECT_EQ(to_json(serial), want);
   for (const int width : {1, 4, 16}) {
     Pool pool(width);
     const SweepResult pooled = run_sweep(cfg, pool, options);
@@ -163,8 +157,8 @@ TEST(Batch, ResumedRunsAreByteIdenticalAtEveryWidth) {
 }
 
 // A journaled batch run appends exactly the lines a byte-for-byte replay
-// needs: header + one framed record per point, in index order for the
-// serial driver.
+// needs: header + one framed record per point, in index order on a
+// one-worker pool.
 TEST(Batch, SerialJournalHoldsEveryRecordInIndexOrder) {
   const SweepConfig cfg = SweepConfig::tiny();
   const std::string path = temp_path("batch_journal.journal");
@@ -173,7 +167,8 @@ TEST(Batch, SerialJournalHoldsEveryRecordInIndexOrder) {
     Journal journal(path, cfg);
     SweepOptions options;
     options.journal = &journal;
-    result = run_sweep_serial(cfg, options);
+    Pool pool(1);
+    result = run_sweep(cfg, pool, options);
     EXPECT_EQ(journal.appended(), cfg.grid.size());
   }
   EXPECT_EQ(result.stats.journaled_points, cfg.grid.size());

@@ -14,14 +14,6 @@
 #include <string>
 #include <thread>
 
-// run_sweep/run_sweep_serial are deprecated in favor of Evaluator::sweep;
-// this file exercises the sweep engine directly on purpose (it is the layer
-// under test/measurement, below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::sweep {
 namespace {
 
@@ -105,7 +97,8 @@ TEST(SweepCancel, PreCancelledSweepSkipsEverythingAndJournalsNothing) {
     SweepOptions opts;
     opts.cancel = &token;
     opts.journal = &journal;
-    result = run_sweep_serial(cfg, opts);
+    Pool pool(1);
+    result = run_sweep(cfg, pool, opts);
   }
   EXPECT_TRUE(result.cancelled);
   EXPECT_EQ(result.records.size(), cfg.grid.size());
@@ -165,7 +158,8 @@ TEST(SweepCancel, TokenTrippedAfterCompletionLeavesResultClean) {
   core::CancelToken token;
   SweepOptions opts;
   opts.cancel = &token;
-  const SweepResult result = run_sweep_serial(cfg, opts);
+  Pool pool(1);
+  const SweepResult result = run_sweep(cfg, pool, opts);
   token.request_cancel();  // too late: the run already drained
   EXPECT_FALSE(result.cancelled);
   EXPECT_EQ(result.stats.skipped_points, 0u);
@@ -176,19 +170,21 @@ TEST(SweepCancel, PointDeadlineFailsTheSweepSeriallyAndPooled) {
   const SweepConfig cfg = SweepConfig::tiny();
   SweepOptions opts;
   opts.point_deadline = std::chrono::nanoseconds(1);
-  EXPECT_THROW(static_cast<void>(run_sweep_serial(cfg, opts)),
-               fault::DeadlineExceeded);
-  Pool pool(4);
-  EXPECT_THROW(static_cast<void>(run_sweep(cfg, pool, opts)),
-               fault::DeadlineExceeded);
+  for (const int width : {1, 4}) {
+    Pool pool(width);
+    EXPECT_THROW(static_cast<void>(run_sweep(cfg, pool, opts)),
+                 fault::DeadlineExceeded)
+        << "width " << width;
+  }
 }
 
 TEST(SweepCancel, GenerousPointDeadlineChangesNothing) {
   const SweepConfig cfg = SweepConfig::tiny();
-  const std::string want = to_json(run_sweep_serial(cfg));
+  Pool pool(1);
+  const std::string want = to_json(run_sweep(cfg, pool));
   SweepOptions opts;
   opts.point_deadline = std::chrono::hours(1);
-  EXPECT_EQ(to_json(run_sweep_serial(cfg, opts)), want);
+  EXPECT_EQ(to_json(run_sweep(cfg, pool, opts)), want);
 }
 
 }  // namespace

@@ -1,18 +1,11 @@
 #include "sweep/gate.hpp"
 
+#include "api/evaluator.hpp"
 #include "sweep/sweep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
-
-// run_sweep/run_sweep_serial are deprecated in favor of Evaluator::sweep;
-// this file exercises the sweep engine directly on purpose (it is the layer
-// under test/measurement, below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 
 namespace stamp::sweep {
 namespace {
@@ -45,7 +38,7 @@ TEST(Gate, IdenticalDocumentsPass) {
 }
 
 TEST(Gate, RealSweepSelfComparisonPasses) {
-  const std::string json = to_json(run_sweep_serial(SweepConfig::tiny()));
+  const std::string json = to_json(Evaluator().sweep(SweepConfig::tiny()));
   const GateReport r = compare_sweeps_text(json, json);
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.points_compared, SweepConfig::tiny().grid.size());
@@ -54,10 +47,11 @@ TEST(Gate, RealSweepSelfComparisonPasses) {
 // The acceptance demonstration: perturbing a cost-model constant (here the
 // per-flop energy weight w_fp) must trip the gate.
 TEST(Gate, PerturbedCostModelConstantFailsTheGate) {
+  const Evaluator eval;
   SweepConfig cfg = SweepConfig::tiny();
-  const std::string baseline = to_json(run_sweep_serial(cfg));
+  const std::string baseline = to_json(eval.sweep(cfg));
   cfg.base.energy.w_fp *= 1.5;  // the perturbation
-  const std::string fresh = to_json(run_sweep_serial(cfg));
+  const std::string fresh = to_json(eval.sweep(cfg));
   const GateReport r = compare_sweeps_text(baseline, fresh);
   EXPECT_FALSE(r.ok);
   // Energy-bearing metrics drift; pure-time D does not (w_fp is energy-only).

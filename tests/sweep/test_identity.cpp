@@ -1,9 +1,10 @@
 /// Byte-identity harness: the `stamp-sweep/v1` artifact must be identical no
-/// matter how the sweep is scheduled. For each config the serial reference
-/// JSON is compared against pool runs at 1, 4, and 16 threads (1 = degenerate
-/// pool, 4 = oversubscribed on small machines, 16 = more workers than most
-/// grids have natural chunks, so the range-claiming scheduler's stealing and
-/// remainder-parking paths all execute). Any scheduling dependence — records
+/// matter how the sweep is scheduled. For each config the one-worker pool's
+/// JSON (the calling thread alone, no stealing) is compared against pool runs
+/// at 4 and 16 threads (4 = oversubscribed on small machines, 16 = more
+/// workers than most grids have natural chunks, so the range-claiming
+/// scheduler's stealing and remainder-parking paths all execute). Any
+/// scheduling dependence — records
 /// keyed by completion order, cache effects leaking into records, float
 /// reassociation — shows up here as a byte diff.
 
@@ -13,24 +14,17 @@
 
 #include <string>
 
-// run_sweep/run_sweep_serial are deprecated in favor of Evaluator::sweep;
-// this file exercises the sweep engine directly on purpose (it is the layer
-// under test/measurement, below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::sweep {
 namespace {
 
 void expect_identical_at_every_width(const SweepConfig& cfg) {
-  const std::string serial = to_json(run_sweep_serial(cfg));
-  for (const int threads : {1, 4, 16}) {
+  Pool one(1);
+  const std::string serial = to_json(run_sweep(cfg, one));
+  for (const int threads : {4, 16}) {
     Pool pool(threads);
     const std::string pooled = to_json(run_sweep(cfg, pool));
     EXPECT_EQ(serial, pooled)
-        << "artifact differs from serial at " << threads << " threads";
+        << "artifact differs from one worker at " << threads << " threads";
   }
 }
 

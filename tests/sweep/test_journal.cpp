@@ -1,5 +1,6 @@
 #include "sweep/journal.hpp"
 
+#include "api/evaluator.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "report/atomic_file.hpp"
@@ -14,14 +15,6 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
-
-// run_sweep/run_sweep_serial are deprecated in favor of Evaluator::sweep;
-// this file exercises the sweep engine directly on purpose (it is the layer
-// under test/measurement, below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 
 namespace stamp::sweep {
 namespace {
@@ -44,7 +37,7 @@ std::size_t file_size(const std::string& path) {
 /// A couple of genuinely evaluated records to journal (index 0 and 1 of the
 /// tiny grid), so the torture corpus uses real payloads, not toy ones.
 std::vector<SweepRecord> tiny_records() {
-  static const SweepResult result = run_sweep_serial(SweepConfig::tiny());
+  static const SweepResult result = Evaluator().sweep(SweepConfig::tiny());
   return result.records;
 }
 
@@ -197,12 +190,13 @@ TEST(Journal, FreshRunJournalsEveryPointAndResumeReplaysThemAll) {
   const SweepConfig cfg = SweepConfig::tiny();
   const std::string path = temp_path("journal_full.journal");
   fs::remove(path);
+  Pool pool(1);
   SweepResult first;
   {
     Journal journal(path, cfg);
     SweepOptions opts;
     opts.journal = &journal;
-    first = run_sweep_serial(cfg, opts);
+    first = run_sweep(cfg, pool, opts);
     EXPECT_EQ(journal.appended(), cfg.grid.size());
   }
   EXPECT_EQ(first.stats.journaled_points, cfg.grid.size());
@@ -211,7 +205,7 @@ TEST(Journal, FreshRunJournalsEveryPointAndResumeReplaysThemAll) {
   EXPECT_EQ(resume.completed_points(), cfg.grid.size());
   SweepOptions opts;
   opts.resume = &resume;
-  const SweepResult replayed = run_sweep_serial(cfg, opts);
+  const SweepResult replayed = run_sweep(cfg, pool, opts);
   EXPECT_EQ(replayed.stats.resumed_points, cfg.grid.size());
   EXPECT_EQ(replayed.stats.journaled_points, 0u);
   EXPECT_EQ(to_json(replayed), to_json(first));
@@ -223,7 +217,8 @@ TEST(Journal, FreshRunJournalsEveryPointAndResumeReplaysThemAll) {
 // byte-identical to an uninterrupted run — at any pool width.
 TEST(Journal, KillAndResumeIsByteIdenticalAtAnyPoolWidth) {
   const SweepConfig cfg = SweepConfig::tiny();
-  const std::string want = to_json(run_sweep_serial(cfg));
+  Pool one(1);
+  const std::string want = to_json(run_sweep(cfg, one));
 
   for (const int width : {1, 4, 16}) {
     const std::string path =
@@ -262,6 +257,53 @@ TEST(Journal, KillAndResumeIsByteIdenticalAtAnyPoolWidth) {
     EXPECT_EQ(to_json(resumed), want) << "width " << width;
     fs::remove(path);
   }
+}
+
+// Evaluator::sweep has one driver at every width: a failing point does not
+// stop the others, so a 1-thread sweep journals exactly what a 4-thread sweep
+// journals — every grid point but the injected failures — and resuming
+// either journal reproduces the clean artifact byte for byte.
+TEST(Journal, OneThreadSweepJournalsTheSamePointsAsFourThreads) {
+  const SweepConfig cfg = SweepConfig::tiny();
+  const Evaluator eval;
+  const std::string want = to_json(eval.sweep(cfg));
+
+  fault::FaultPlan plan;
+  plan.seed = 42;
+  plan.with(fault::FaultSite::SweepPointFail, 0.2);
+  std::vector<std::vector<bool>> journaled;
+  for (const int threads : {1, 4}) {
+    const std::string path =
+        temp_path("journal_drain_t" + std::to_string(threads) + ".journal");
+    fs::remove(path);
+    fault::Injector::global().arm(plan);
+    {
+      Journal journal(path, cfg);
+      EXPECT_THROW(static_cast<void>(eval.sweep(
+                       cfg, {.journal = &journal, .threads = threads})),
+                   fault::SweepPointFailure)
+          << "threads " << threads;
+    }
+    std::vector<bool> failed(cfg.grid.size(), false);
+    for (const fault::ScheduleEntry& e :
+         fault::Injector::global().recorded().entries)
+      failed[e.key] = true;
+    fault::Injector::global().disarm();
+    ASSERT_NE(std::count(failed.begin(), failed.end(), true), 0);
+
+    const ResumeState resume = ResumeState::load(path, cfg);
+    journaled.emplace_back(cfg.grid.size());
+    for (std::size_t i = 0; i < cfg.grid.size(); ++i) {
+      journaled.back()[i] = resume.completed(i);
+      EXPECT_NE(resume.completed(i), failed[i])
+          << "threads " << threads << " point " << i;
+    }
+    const SweepResult resumed =
+        eval.sweep(cfg, {.resume = &resume, .threads = threads});
+    EXPECT_EQ(to_json(resumed), want) << "threads " << threads;
+    fs::remove(path);
+  }
+  EXPECT_EQ(journaled[0], journaled[1]);
 }
 
 // Creating a fresh journal must fsync its *parent directory* (observed via

@@ -56,13 +56,6 @@
 #include <utility>
 #include <vector>
 
-// The chaos harness drives the sweep engine directly (run_sweep with an
-// explicit pool) to keep drain semantics identical at every --jobs; that
-// entry point carries a facade-deprecation note which must stay quiet here.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 namespace {
 
 using stamp::Distribution;
